@@ -150,8 +150,9 @@ def refine_arch(init: ArchPolyline, votes, params: RefineParams = RefineParams()
 
     Per round: inverse-distance-weighted mean offset toward the `neighbors`
     nearest votes, smoothed along the chain, applied with `step_size`.
+    `votes` is a `synthetic.Votes`; only its positions are read.
     """
-    positions = np.asarray([v.position for v in votes], dtype=np.float64)
+    positions = votes.position
     if len(positions) < params.neighbors:
         raise ValueError(
             f"need at least {params.neighbors} votes, got {len(positions)}"

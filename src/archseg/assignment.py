@@ -1,14 +1,17 @@
-"""Minimum-cost one-to-one assignment (Kuhn-Munkres).
+"""Minimum-cost one-to-one assignment.
 
-Shortest-augmenting-path formulation with row/column potentials, handling
-rectangular R x C matrices with R <= C directly.  Deterministic: on ties the
-lowest column index is preferred at every step, so identical inputs always
-produce identical assignments.
+`hungarian_assign` validates its input and solves it with scipy's sparse
+Jonker-Volgenant shortest-augmenting-path solver (LAPJVsp).  It stands in for
+`scipy.optimize.linear_sum_assignment` because importing `scipy.optimize`
+loads that whole package, about 10 MB more resident memory per process.  When
+several assignments reach the optimum, which one is returned is unspecified.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from scipy.sparse import csr_array
+from scipy.sparse.csgraph import min_weight_full_bipartite_matching
 
 
 def hungarian_assign(cost) -> tuple[np.ndarray, float]:
@@ -25,49 +28,11 @@ def hungarian_assign(cost) -> tuple[np.ndarray, float]:
         raise ValueError(f"more rows than columns ({n_rows} > {n_cols})")
     if not np.isfinite(c).all():
         raise ValueError("cost matrix contains non-finite entries")
-
-    u = np.zeros(n_rows)
-    v = np.zeros(n_cols)
-    # row_of[j] = row currently assigned to column j; slot n_cols is virtual.
-    row_of = np.full(n_cols + 1, -1, dtype=np.intp)
-
-    for i in range(n_rows):
-        row_of[n_cols] = i
-        j0 = n_cols
-        minv = np.full(n_cols, np.inf)
-        way = np.full(n_cols, -1, dtype=np.intp)
-        used = np.zeros(n_cols + 1, dtype=bool)
-        while True:
-            used[j0] = True
-            i0 = row_of[j0]
-            free = ~used[:n_cols]
-            reduced = c[i0] - u[i0] - v
-            improved = free & (reduced < minv)
-            minv[improved] = reduced[improved]
-            way[improved] = j0
-            masked = np.where(free, minv, np.inf)
-            j1 = int(np.argmin(masked))  # first index on ties
-            delta = masked[j1]
-            used_cols = np.flatnonzero(used[:n_cols])
-            u[row_of[used_cols]] += delta
-            u[i] += delta  # row reached through the virtual column
-            v[used_cols] -= delta
-            minv[free] -= delta
-            j0 = j1
-            if row_of[j0] == -1:
-                break
-        # Augment along the alternating path back to the virtual column.
-        while j0 != n_cols:
-            j1 = way[j0]
-            row_of[j0] = row_of[j1]
-            j0 = j1
-
-    assignment = np.full(n_rows, -1, dtype=np.intp)
-    for j in range(n_cols):
-        if row_of[j] >= 0:
-            assignment[row_of[j]] = j
-    total = float(c[np.arange(n_rows), assignment].sum())
-    return assignment, total
+    # The solver takes only non-zero entries as edges; shifting every cost to
+    # >= 1 keeps all pairs and adds the same amount to every full matching.
+    _, cols = min_weight_full_bipartite_matching(csr_array(c - c.min() + 1.0))
+    assignment = cols.astype(np.intp)  # rows come back as arange(n_rows)
+    return assignment, float(c[np.arange(n_rows), assignment].sum())
 
 
 def brute_force_assign(cost):

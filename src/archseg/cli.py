@@ -57,22 +57,15 @@ def _config_from_args(args) -> ExperimentConfig:
     return config
 
 
-def _dataset_models(config: ExperimentConfig, args):
-    """(models, visible_lists) from --dataset if given, else generated."""
-    if getattr(args, "dataset", None):
-        manifest = Path(args.dataset) / "manifest.json"
-        entries = aio.read_manifest(manifest)
-        models = []
-        visible = []
-        for entry in entries:
-            models.append(
-                aio.load_model(
-                    manifest.parent / entry["ply"], manifest.parent / entry["json"]
-                )
-            )
-            visible.append(entry.get("visible_instances"))
-        return models, visible
-    return None, None
+def _runner(args):
+    """config -> MetricsReport, over --dataset's models if given, else over
+    models generated from the config."""
+    if not args.dataset:
+        return lambda config: run_dataset(config, jobs=args.jobs)
+    models, visible = aio.load_dataset(Path(args.dataset) / "manifest.json")
+    return lambda config: run_models(
+        config, models, jobs=args.jobs, visible_lists=visible
+    )
 
 
 def render_table(headers, rows) -> str:
@@ -118,11 +111,7 @@ def cmd_generate(args) -> int:
 
 def cmd_run(args) -> int:
     config = _config_from_args(args)
-    models, visible = _dataset_models(config, args)
-    if models is None:
-        report = run_dataset(config, jobs=args.jobs)
-    else:
-        report = run_models(config, models, jobs=args.jobs, visible_lists=visible)
+    report = _runner(args)(config)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     report.save(out / "report.json")
@@ -143,76 +132,60 @@ def _fmt(x, nd=2):
     return f"{x:.{nd}f}"
 
 
-def cmd_ablate_sampling(args) -> int:
-    config = _config_from_args(args)
-    models, visible = _dataset_models(config, args)
-    headers = ["Method", "Acc.", "Recall", "C. Dist.", "IoU", "Dice"]
+def _ablate(args, name, headers, variants, extra_cells) -> int:
+    """Run each (label, config) variant; its table row is the label, Acc.,
+    Recall, then `extra_cells(aggregate)`.  Written to name.csv/.txt."""
+    run = _runner(args)
+    headers = [headers[0], "Acc.", "Recall", *headers[1:]]
     rows = []
     failed = False
-    for method in ("fps", "aps"):
-        for k in args.centroid_grid:
-            variant = dataclasses.replace(
-                config,
-                sampling_method=method,
-                detection=dataclasses.replace(config.detection, max_centroids=k),
-            )
-            if models is None:
-                report = run_dataset(variant, jobs=args.jobs)
-            else:
-                report = run_models(variant, models, jobs=args.jobs, visible_lists=visible)
-            failed = failed or bool(report.failures)
-            agg = report.aggregate
-            rows.append(
-                [
-                    f"{method.upper()}-{k}",
-                    _fmt(agg["accuracy"]),
-                    _fmt(agg["recall"]),
-                    _fmt(agg["chamfer"], 4),
-                    _fmt(agg.get("mean_iou", float("nan"))),
-                    _fmt(agg.get("mean_dice", float("nan"))),
-                ]
-            )
+    for label, variant in variants:
+        report = run(variant)
+        failed = failed or bool(report.failures)
+        agg = report.aggregate
+        rows.append([label, _fmt(agg["accuracy"]), _fmt(agg["recall"]), *extra_cells(agg)])
     table = render_table(headers, rows)
     print(table)
     if args.out:
         out = Path(args.out)
         out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / "ablate_sampling.csv", headers, rows)
-        (out / "ablate_sampling.txt").write_text(table + "\n")
+        write_csv(out / f"{name}.csv", headers, rows)
+        (out / f"{name}.txt").write_text(table + "\n")
     return EXIT_MODEL_FAILURE if failed else EXIT_OK
+
+
+def cmd_ablate_sampling(args) -> int:
+    config = _config_from_args(args)
+    variants = []
+    for method in ("fps", "aps"):
+        for k in args.centroid_grid:
+            detection = dataclasses.replace(config.detection, max_centroids=k)
+            variant = dataclasses.replace(
+                config, sampling_method=method, detection=detection
+            )
+            variants.append((f"{method.upper()}-{k}", variant))
+    nan = float("nan")
+    return _ablate(
+        args, "ablate_sampling", ["Method", "C. Dist.", "IoU", "Dice"], variants,
+        lambda agg: [
+            _fmt(agg["chamfer"], 4),
+            _fmt(agg.get("mean_iou", nan)),
+            _fmt(agg.get("mean_dice", nan)),
+        ],
+    )
 
 
 def cmd_ablate_arch(args) -> int:
     config = _config_from_args(args)
-    models, visible = _dataset_models(config, args)
-    headers = ["Mode", "Acc.", "Recall", "MSE(1e-4)"]
     pretty = {"direct_fit": "Direct", "coarse": "Coarse", "coarse_fine": "Coarse + Fine"}
-    rows = []
-    failed = False
-    for mode in ("direct_fit", "coarse", "coarse_fine"):
-        variant = dataclasses.replace(config, arch_mode=mode)
-        if models is None:
-            report = run_dataset(variant, jobs=args.jobs)
-        else:
-            report = run_models(variant, models, jobs=args.jobs, visible_lists=visible)
-        failed = failed or bool(report.failures)
-        agg = report.aggregate
-        rows.append(
-            [
-                pretty[mode],
-                _fmt(agg["accuracy"]),
-                _fmt(agg["recall"]),
-                _fmt(agg["arch_mse"] * 1e4),
-            ]
-        )
-    table = render_table(headers, rows)
-    print(table)
-    if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
-        write_csv(out / "ablate_arch.csv", headers, rows)
-        (out / "ablate_arch.txt").write_text(table + "\n")
-    return EXIT_MODEL_FAILURE if failed else EXIT_OK
+    variants = [
+        (label, dataclasses.replace(config, arch_mode=mode))
+        for mode, label in pretty.items()
+    ]
+    return _ablate(
+        args, "ablate_arch", ["Mode", "MSE(1e-4)"], variants,
+        lambda agg: [_fmt(agg["arch_mse"] * 1e4)],
+    )
 
 
 def cmd_eval(args) -> int:

@@ -17,7 +17,7 @@ import numpy as np
 from .arch import ARCH_POINTS, ArchPolyline
 from .assignment import hungarian_assign
 from .geometry import PointCloud, chamfer_distance, cross_entropy, farthest_point_sampling, huber_l1
-from .synthetic import DentalModel, Vote, ground_truth_offsets
+from .synthetic import DentalModel, Votes, ground_truth_offsets
 
 
 @dataclass(frozen=True)
@@ -63,62 +63,54 @@ class DetectionLossParams:
 
 
 @dataclass(frozen=True)
-class Proposal:
-    """Candidate tooth centroid aggregated from a vote cluster."""
+class Proposals:
+    """Candidate tooth centroids, one row per vote cluster."""
 
-    position: np.ndarray
-    confidence: float
-    member_votes: np.ndarray
-    gt_assignment: int | None = None
+    position: np.ndarray  # (P, 3) cluster mean
+    confidence: np.ndarray  # (P,)
+    gt_assignment: np.ndarray  # (P,) matched ground-truth centroid, -1 for none
 
-
-def vote_positions(votes) -> np.ndarray:
-    return np.asarray([v.position for v in votes], dtype=np.float64)
+    def __len__(self) -> int:
+        return len(self.confidence)
 
 
-def vote_displacement_norms(votes) -> np.ndarray:
-    return np.asarray([v.displacement_norm for v in votes], dtype=np.float64)
-
-
-def aps_cost_matrix(votes, arch: ArchPolyline, params: SamplingParams) -> np.ndarray:
+def aps_cost_matrix(votes: Votes, arch: ArchPolyline, params: SamplingParams) -> np.ndarray:
     """Slot-by-vote assignment cost.
 
     Rows cycle through the 32 arch points (slots_per_arch_point copies each,
     truncated to n_samples); entry = alpha * ||vote - arch point|| +
     beta * vote displacement norm.
     """
-    if len(votes) == 0:
-        raise ValueError("no votes")
     if params.n_samples > len(votes):
         raise ValueError(
             f"n_samples={params.n_samples} exceeds vote count {len(votes)}"
         )
-    pos = vote_positions(votes)
-    disp = vote_displacement_norms(votes)
     slot_arch = np.tile(np.arange(ARCH_POINTS), params.slots_per_arch_point)[
         : params.n_samples
     ]
     d_arch = np.linalg.norm(
-        arch.points[slot_arch][:, None, :] - pos[None, :, :], axis=2
+        arch.points[slot_arch][:, None, :] - votes.position[None, :, :], axis=2
     )
-    return params.alpha * d_arch + params.beta * disp[None, :]
+    return params.alpha * d_arch + params.beta * votes.displacement_norm[None, :]
 
 
-def arch_aware_sampling(votes, arch: ArchPolyline, params: SamplingParams) -> np.ndarray:
-    """Distinct vote indices selected by Hungarian assignment of arch slots."""
+def arch_aware_sampling(votes: Votes, arch: ArchPolyline, params: SamplingParams) -> np.ndarray:
+    """Distinct vote indices selected by Hungarian assignment of arch slots.
+
+    Returned in ascending order: slot rows i and i + 32 are the same arch
+    point, so only the selected set, not the row order, is meaningful.
+    """
     cost = aps_cost_matrix(votes, arch, params)
     assignment, _ = hungarian_assign(cost)
-    return assignment
+    return np.sort(assignment)
 
 
-def fps_vote_sampling(votes, n_samples: int) -> np.ndarray:
+def fps_vote_sampling(votes: Votes, n_samples: int) -> np.ndarray:
     """Baseline: farthest point sampling over vote positions."""
-    if n_samples > len(votes):
-        raise ValueError("n_samples exceeds vote count")
-    return farthest_point_sampling(PointCloud(vote_positions(votes)), n_samples)
+    return farthest_point_sampling(PointCloud(votes.position), n_samples)
 
 
-def random_vote_sampling(votes, n_samples: int, seed: int) -> np.ndarray:
+def random_vote_sampling(votes: Votes, n_samples: int, seed: int) -> np.ndarray:
     """Baseline: uniform sampling without replacement over votes."""
     if n_samples > len(votes):
         raise ValueError("n_samples exceeds vote count")
@@ -126,7 +118,7 @@ def random_vote_sampling(votes, n_samples: int, seed: int) -> np.ndarray:
     return rng.choice(len(votes), size=n_samples, replace=False).astype(np.intp)
 
 
-def group_votes(selected, votes, radius: float) -> list[np.ndarray]:
+def group_votes(selected, votes: Votes, radius: float) -> list[np.ndarray]:
     """Per selected vote, the indices of all votes within `radius` of it.
 
     Votes may appear in multiple clusters; each cluster contains its own
@@ -134,7 +126,7 @@ def group_votes(selected, votes, radius: float) -> list[np.ndarray]:
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    pos = vote_positions(votes)
+    pos = votes.position
     clusters = []
     for s in np.asarray(selected, dtype=np.intp):
         d = np.linalg.norm(pos - pos[s], axis=1)
@@ -142,72 +134,66 @@ def group_votes(selected, votes, radius: float) -> list[np.ndarray]:
     return clusters
 
 
-def make_proposals(clusters, votes, radius_scale: float = 0.1) -> list[Proposal]:
+def make_proposals(clusters, votes: Votes, radius_scale: float = 0.1) -> Proposals:
     """Cluster means with a logistic size/spread confidence surrogate.
 
     confidence = sigmoid(log(size) - 2 * spread / radius_scale), where spread
     is the RMS member distance to the cluster mean: monotone up in evidence
-    mass, down in scatter.
+    mass, down in scatter.  No proposal has a ground-truth assignment yet.
     """
     if len(clusters) == 0:
         raise ValueError("no clusters")
-    pos = vote_positions(votes)
-    proposals = []
+    means = []
+    confidences = []
     for members in clusters:
-        members = np.asarray(members, dtype=np.intp)
         if len(members) == 0:
             raise ValueError("empty cluster")
-        p = pos[members]
+        p = votes.position[np.asarray(members, dtype=np.intp)]
         mean = p.mean(axis=0)
         spread = float(np.sqrt(np.mean(np.sum((p - mean) ** 2, axis=1))))
         logit = math.log(len(members)) - 2.0 * spread / radius_scale
-        conf = 1.0 / (1.0 + math.exp(-logit))
-        proposals.append(
-            Proposal(position=mean, confidence=conf, member_votes=members)
-        )
-    return proposals
+        means.append(mean)
+        confidences.append(1.0 / (1.0 + math.exp(-logit)))
+    return Proposals(
+        position=np.asarray(means),
+        confidence=np.asarray(confidences),
+        gt_assignment=np.full(len(means), -1, dtype=np.intp),
+    )
 
 
 def assign_gt_confidence(
-    proposals, gt_centroids, threshold: float = 0.3
-) -> tuple[np.ndarray, list[Proposal]]:
+    proposals: Proposals, gt_centroids, threshold: float = 0.3
+) -> tuple[np.ndarray, Proposals]:
     """Ground-truth confidence labels: 1 iff the nearest centroid is closer
     than `threshold` (strict); positives get that centroid assigned."""
     gt = np.asarray(gt_centroids, dtype=np.float64).reshape(-1, 3)
-    labels = np.zeros(len(proposals), dtype=np.int64)
-    out = []
-    for i, prop in enumerate(proposals):
-        if len(gt) == 0:
-            out.append(replace(prop, gt_assignment=None))
-            continue
-        d = np.linalg.norm(gt - prop.position, axis=1)
-        j = int(np.argmin(d))
-        if d[j] < threshold:
-            labels[i] = 1
-            out.append(replace(prop, gt_assignment=j))
-        else:
-            out.append(replace(prop, gt_assignment=None))
-    return labels, out
+    assigned = np.full(len(proposals), -1, dtype=np.intp)
+    if len(gt):
+        d = np.linalg.norm(gt[None, :, :] - proposals.position[:, None, :], axis=2)
+        nearest = np.argmin(d, axis=1)
+        hit = d.min(axis=1) < threshold
+        assigned[hit] = nearest[hit]
+    labels = (assigned >= 0).astype(np.int64)
+    return labels, replace(proposals, gt_assignment=assigned)
 
 
-def nms(proposals, radius: float, max_k: int) -> list[Proposal]:
+def nms(proposals: Proposals, radius: float, max_k: int) -> np.ndarray:
     """Greedy descending-confidence suppression within `radius`, capped at max_k.
 
-    Ties in confidence are broken by original proposal index.
+    Returns the indices of the retained proposals in retention order.  Ties in
+    confidence are broken by original proposal index.
     """
     if radius <= 0:
         raise ValueError("radius must be positive")
-    order = np.lexsort(
-        (np.arange(len(proposals)), -np.asarray([p.confidence for p in proposals]))
-    )
-    retained: list[Proposal] = []
+    pos = proposals.position
+    order = np.lexsort((np.arange(len(proposals)), -proposals.confidence))
+    kept: list[int] = []
     for i in order:
-        if len(retained) >= max_k:
+        if len(kept) >= max_k:
             break
-        p = proposals[i]
-        if all(np.linalg.norm(p.position - q.position) >= radius for q in retained):
-            retained.append(p)
-    return retained
+        if all(np.linalg.norm(pos[i] - pos[j]) >= radius for j in kept):
+            kept.append(i)
+    return np.asarray(kept, dtype=np.intp)
 
 
 def detection_metrics(pred_centroids, gt_centroids, match_threshold: float = 0.3) -> dict:
@@ -222,12 +208,10 @@ def detection_metrics(pred_centroids, gt_centroids, match_threshold: float = 0.3
     if len(pred) == 0 or len(gt) == 0:
         raise ValueError("empty centroid set")
     d = np.linalg.norm(pred[:, None, :] - gt[None, :, :], axis=2)
-    if len(pred) <= len(gt):
-        assignment, _ = hungarian_assign(d)
-        matched = d[np.arange(len(pred)), assignment]
-    else:
-        assignment, _ = hungarian_assign(d.T)
-        matched = d.T[np.arange(len(gt)), assignment]
+    if len(pred) > len(gt):
+        d = d.T  # hungarian_assign needs rows <= columns
+    assignment, _ = hungarian_assign(d)
+    matched = d[np.arange(len(d)), assignment]
     tp = int(np.sum(matched < match_threshold))
     return {
         "accuracy": 100.0 * tp / len(pred),
@@ -237,8 +221,8 @@ def detection_metrics(pred_centroids, gt_centroids, match_threshold: float = 0.3
 
 
 def detection_loss(
-    votes,
-    proposals,
+    votes: Votes,
+    proposals: Proposals,
     labels,
     model: DentalModel,
     params: DetectionLossParams = DetectionLossParams(),
@@ -250,19 +234,18 @@ def detection_loss(
     annotation: only the visible instances enter the loss terms).
     """
     gt_centroids = model.centroids if centroids is None else np.asarray(centroids)
-    seed_indices = [v.seed_index for v in votes]
-    gt_off = ground_truth_offsets(model, seed_indices, gt_centroids)
-    disp = np.asarray([v.displacement for v in votes], dtype=np.float64)
-    l_offset = huber_l1(disp, gt_off, params.huber_delta)
+    gt_off = ground_truth_offsets(model, votes.seed_index, gt_centroids)
+    l_offset = huber_l1(votes.displacement, gt_off, params.huber_delta)
 
-    confidences = np.asarray([p.confidence for p in proposals], dtype=np.float64)
-    l_conf = cross_entropy(confidences, np.asarray(labels, dtype=np.float64))
+    l_conf = cross_entropy(proposals.confidence, np.asarray(labels, dtype=np.float64))
 
-    positives = [p for p in proposals if p.gt_assignment is not None]
-    if positives:
-        pred_pos = np.asarray([p.position for p in positives])
-        target_pos = np.asarray([gt_centroids[p.gt_assignment] for p in positives])
-        l_centers = huber_l1(pred_pos, target_pos, params.huber_delta)
+    positive = proposals.gt_assignment >= 0
+    if positive.any():
+        l_centers = huber_l1(
+            proposals.position[positive],
+            gt_centroids[proposals.gt_assignment[positive]],
+            params.huber_delta,
+        )
     else:
         warnings.warn("no positive proposals; l_centers set to 0")
         l_centers = 0.0
@@ -275,27 +258,21 @@ def detection_loss(
     }
 
 
-def pregroup_votes(votes, radius: float, min_size_frac: float = 0.25) -> np.ndarray:
+def pregroup_votes(votes: Votes, radius: float, min_size_frac: float = 0.25) -> np.ndarray:
     """Radius-based vote clustering for the coarse arch fit.
 
     Greedy leader selection in index order, members assigned to the nearest
     leader; clusters smaller than min_size_frac of the largest are dropped
     (sparse clutter clusters do not survive).  Returns cluster mean positions.
     """
-    pos = vote_positions(votes)
+    pos = votes.position
     leaders: list[int] = []
     for i, p in enumerate(pos):
         if not leaders or np.min(np.linalg.norm(pos[leaders] - p, axis=1)) > radius:
             leaders.append(i)
     d = np.linalg.norm(pos[:, None, :] - pos[leaders][None, :, :], axis=2)
     member_of = np.argmin(d, axis=1)
-    centers = []
-    sizes = []
-    for k in range(len(leaders)):
-        members = member_of == k
-        centers.append(pos[members].mean(axis=0))
-        sizes.append(int(members.sum()))
-    centers = np.asarray(centers)
-    sizes = np.asarray(sizes)
+    sizes = np.bincount(member_of, minlength=len(leaders))
+    centers = np.stack([pos[member_of == k].mean(axis=0) for k in range(len(leaders))])
     keep = sizes >= min_size_frac * sizes.max()
     return centers[keep]

@@ -48,21 +48,7 @@ class PointCloud:
         return len(self.points)
 
 
-@dataclass(frozen=True)
-class Transform:
-    """Translation followed by uniform scale: y = (x + translation) * scale."""
-
-    translation: np.ndarray
-    scale: float
-
-    def apply(self, pts: np.ndarray) -> np.ndarray:
-        return (np.asarray(pts, dtype=np.float64) + self.translation) * self.scale
-
-    def invert(self, pts: np.ndarray) -> np.ndarray:
-        return np.asarray(pts, dtype=np.float64) / self.scale - self.translation
-
-
-def normalize_model(cloud: PointCloud) -> tuple[PointCloud, Transform]:
+def normalize_model(cloud: PointCloud) -> PointCloud:
     """Center the cloud at the origin and scale the max point norm to 1.
 
     Gives every absolute threshold in the pipeline (confidence distance,
@@ -74,8 +60,7 @@ def normalize_model(cloud: PointCloud) -> tuple[PointCloud, Transform]:
     radius = float(np.linalg.norm(centered, axis=1).max())
     if radius <= 0.0:
         raise DegenerateCloudError("all points identical; cannot normalize")
-    transform = Transform(translation=-centroid, scale=1.0 / radius)
-    return PointCloud(centered / radius), transform
+    return PointCloud(centered / radius)
 
 
 class SpatialIndex:
@@ -89,9 +74,6 @@ class SpatialIndex:
     def __init__(self, cloud: PointCloud):
         self.cloud = cloud
         self._tree = cKDTree(cloud.points)
-
-    def query(self, point, k: int) -> tuple[np.ndarray, np.ndarray]:
-        return k_nearest(self, point, k)
 
 
 def k_nearest(index: SpatialIndex, query, k: int) -> tuple[np.ndarray, np.ndarray]:
@@ -143,15 +125,6 @@ def farthest_point_sampling(cloud: PointCloud, k: int, start_index: int = 0) -> 
         selected[i] = j
         np.minimum(min_dist, np.linalg.norm(pts - pts[j], axis=1), out=min_dist)
     return selected
-
-
-def random_sampling(cloud: PointCloud, k: int, seed: int) -> np.ndarray:
-    """k distinct indices, uniform without replacement, deterministic per seed."""
-    n = cloud.size
-    if not 1 <= k <= n:
-        raise ValueError(f"k={k} out of range for cloud of size {n}")
-    rng = np.random.default_rng(seed)
-    return rng.choice(n, size=k, replace=False).astype(np.intp)
 
 
 def chamfer_distance(p1: PointCloud, p2: PointCloud) -> float:

@@ -8,7 +8,6 @@ model is a PLY + JSON sidecar pair listed in a manifest.
 from __future__ import annotations
 
 import json
-from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +15,7 @@ import numpy as np
 from .arch import ArchPolyline
 from .bezier import BezierCurve
 from .geometry import PointCloud
-from .synthetic import DentalModel, ScanConfig
+from .synthetic import DentalModel, ScanConfig, config_from_dict
 
 
 def write_ply(path, points: np.ndarray, labels=None) -> None:
@@ -62,47 +61,13 @@ def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
     return points, labels
 
 
-def write_cloud_json(path, points: np.ndarray, labels=None) -> None:
-    payload = {"points": np.asarray(points, dtype=np.float64).tolist()}
-    if labels is not None:
-        payload["labels"] = np.asarray(labels, dtype=np.int64).tolist()
-    with open(path, "w") as fh:
-        json.dump(payload, fh)
-
-
-def read_cloud_json(path) -> tuple[np.ndarray, np.ndarray | None]:
-    with open(path) as fh:
-        payload = json.load(fh)
-    points = np.asarray(payload["points"], dtype=np.float64)
-    labels = (
-        np.asarray(payload["labels"], dtype=np.int64) if "labels" in payload else None
-    )
-    return points, labels
-
-
-def scan_config_to_dict(config: ScanConfig) -> dict:
-    d = asdict(config)
-    d["arch_control"] = np.asarray(config.arch_control).tolist()
-    d["tooth_radius_range"] = list(config.tooth_radius_range)
-    return d
-
-
-def scan_config_from_dict(d: dict) -> ScanConfig:
-    d = dict(d)
-    if "arch_control" in d:
-        d["arch_control"] = np.asarray(d["arch_control"], dtype=np.float64)
-    if "tooth_radius_range" in d:
-        d["tooth_radius_range"] = tuple(d["tooth_radius_range"])
-    return ScanConfig(**d)
-
-
 def save_model(model: DentalModel, ply_path, json_path) -> None:
     write_ply(ply_path, model.cloud.points, model.labels)
     sidecar = {
         "centroids": model.centroids.tolist(),
         "arch": model.gt_arch.points.tolist(),
         "bezier_control": model.gt_bezier.control.tolist(),
-        "config": scan_config_to_dict(model.config_echo),
+        "config": model.config_echo.to_dict(),
     }
     with open(json_path, "w") as fh:
         json.dump(sidecar, fh, indent=1, sort_keys=True)
@@ -120,7 +85,7 @@ def load_model(ply_path, json_path) -> DentalModel:
         centroids=np.asarray(sidecar["centroids"], dtype=np.float64),
         gt_arch=ArchPolyline(np.asarray(sidecar["arch"], dtype=np.float64)),
         gt_bezier=BezierCurve(np.asarray(sidecar["bezier_control"], dtype=np.float64)),
-        config_echo=scan_config_from_dict(sidecar["config"]),
+        config_echo=config_from_dict(ScanConfig, sidecar["config"]),
     )
 
 
@@ -134,21 +99,16 @@ def read_manifest(path) -> list[dict]:
         return json.load(fh)["models"]
 
 
-def load_manifest_models(manifest_path) -> list[DentalModel]:
+def load_dataset(manifest_path) -> tuple[list[DentalModel], list]:
+    """The manifest's models, and per model its visible_instances (None if
+    fully annotated); PLY and sidecar paths are relative to the manifest."""
     base = Path(manifest_path).parent
     models = []
+    visible = []
     for entry in read_manifest(manifest_path):
         models.append(load_model(base / entry["ply"], base / entry["json"]))
-    return models
-
-
-def write_arch_json(path, curve: BezierCurve, polyline: ArchPolyline) -> None:
-    payload = {
-        "bezier_control": curve.control.tolist(),
-        "polyline": polyline.points.tolist(),
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
+        visible.append(entry.get("visible_instances"))
+    return models, visible
 
 
 def write_detection_json(path, centroids, confidences, sampling: str, params: dict) -> None:

@@ -47,6 +47,7 @@ from .synthetic import (
     DentalModel,
     ScanConfig,
     VoteNoiseModel,
+    config_from_dict,
     generate_model,
     simulate_votes,
     with_seed,
@@ -88,21 +89,16 @@ class ExperimentConfig:
 
     def to_dict(self) -> dict:
         d = asdict(self)
-        d["scan"]["arch_control"] = np.asarray(self.scan.arch_control).tolist()
-        d["scan"]["tooth_radius_range"] = list(self.scan.tooth_radius_range)
+        d["scan"] = self.scan.to_dict()
         return d
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
+        """Inverse of `to_dict`; a missing key keeps its default and an
+        unknown key raises ValueError."""
         d = dict(d)
-        if "scan" in d:
-            scan = dict(d["scan"])
-            if "arch_control" in scan:
-                scan["arch_control"] = np.asarray(scan["arch_control"], dtype=np.float64)
-            if "tooth_radius_range" in scan:
-                scan["tooth_radius_range"] = tuple(scan["tooth_radius_range"])
-            d["scan"] = ScanConfig(**scan)
         for key, klass in [
+            ("scan", ScanConfig),
             ("noise", VoteNoiseModel),
             ("sampling", SamplingParams),
             ("detection", DetectionParams),
@@ -111,8 +107,8 @@ class ExperimentConfig:
             ("segmentation", SegParams),
         ]:
             if key in d and isinstance(d[key], dict):
-                d[key] = klass(**d[key])
-        return cls(**d)
+                d[key] = config_from_dict(klass, d[key])
+        return config_from_dict(cls, d)
 
 
 def load_config(path) -> ExperimentConfig:
@@ -189,7 +185,7 @@ def run_model(
         proposals, loss_centroids, config.detection.conf_gt_threshold
     )
     retained = nms(proposals, config.detection.nms_radius, config.detection.max_centroids)
-    pred_centroids = np.asarray([p.position for p in retained])
+    pred_centroids = proposals.position[retained]
 
     metrics = detection_metrics(
         pred_centroids, model.centroids, config.detection.match_threshold
@@ -295,6 +291,8 @@ def _reduce(config: ExperimentConfig, tasks, jobs: int) -> MetricsReport:
 
     Per-model failures are recorded and the run continues.
     """
+    if jobs < 1:
+        raise ValueError(f"jobs must be >= 1, got {jobs}")
     t0 = time.perf_counter()
     per_model = []
     failures = []

@@ -9,7 +9,7 @@ are either suppressed or emit near-gum clutter votes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -59,6 +59,7 @@ class ScanConfig:
             raise ValueError("arch_control must be a (4, 3) array")
         ctrl.setflags(write=False)
         object.__setattr__(self, "arch_control", ctrl)
+        object.__setattr__(self, "tooth_radius_range", tuple(self.tooth_radius_range))
         if not 8 <= self.n_teeth <= 16:
             raise ValueError("n_teeth must be in [8, 16]")
         if self.n_points < self.n_teeth * 64:
@@ -72,6 +73,21 @@ class ScanConfig:
             raise ValueError("jitter and misalignment must be non-negative")
         if self.gingiva_band_width <= 0:
             raise ValueError("gingiva_band_width must be positive")
+
+    def to_dict(self) -> dict:
+        """JSON-ready form; `config_from_dict(ScanConfig, d)` inverts it."""
+        d = asdict(self)
+        d["arch_control"] = self.arch_control.tolist()
+        d["tooth_radius_range"] = list(self.tooth_radius_range)
+        return d
+
+
+def config_from_dict(klass, d: dict):
+    """`klass(**d)` for a config dataclass, naming any key it has no field for."""
+    unknown = set(d) - {f.name for f in fields(klass)}
+    if unknown:
+        raise ValueError(f"unknown {klass.__name__} key(s): {', '.join(sorted(unknown))}")
+    return klass(**d)
 
 
 @dataclass(frozen=True)
@@ -99,13 +115,32 @@ class DentalModel:
 
 
 @dataclass(frozen=True)
-class Vote:
-    """A seed point's predicted displacement toward its tooth centroid."""
+class Votes:
+    """Seed points' predicted displacements toward their tooth centroids.
 
-    seed_index: int
-    position: np.ndarray
-    displacement: np.ndarray
-    displacement_norm: float
+    Row i is one vote: position[i] = cloud point seed_index[i] +
+    displacement[i].
+    """
+
+    seed_index: np.ndarray  # (N,) cloud point index of each voting seed
+    position: np.ndarray  # (N, 3)
+    displacement: np.ndarray  # (N, 3)
+    displacement_norm: np.ndarray  # (N,)
+
+    def __len__(self) -> int:
+        return len(self.seed_index)
+
+    @classmethod
+    def from_seeds(cls, points: np.ndarray, seed_index, displacement) -> Votes:
+        """Votes cast from points[seed_index] by the given displacements."""
+        idx = np.asarray(seed_index, dtype=np.intp)
+        disp = np.asarray(displacement, dtype=np.float64)
+        return cls(
+            seed_index=idx,
+            position=points[idx] + disp,
+            displacement=disp,
+            displacement_norm=np.linalg.norm(disp, axis=1),
+        )
 
 
 @dataclass(frozen=True)
@@ -209,7 +244,7 @@ def generate_model(config: ScanConfig) -> DentalModel:
     points = np.concatenate(all_points)
     labels = np.concatenate(all_labels)
 
-    cloud, _ = normalize_model(PointCloud(points))
+    cloud = normalize_model(PointCloud(points))
     n_instances = len(surviving)
     centroids = np.stack(
         [cloud.points[labels == k].mean(axis=0) for k in range(1, n_instances + 1)]
@@ -227,18 +262,8 @@ def generate_model(config: ScanConfig) -> DentalModel:
     )
 
 
-def make_vote(cloud: PointCloud, seed_index: int, displacement: np.ndarray) -> Vote:
-    disp = np.asarray(displacement, dtype=np.float64)
-    return Vote(
-        seed_index=int(seed_index),
-        position=cloud.points[seed_index] + disp,
-        displacement=disp,
-        displacement_norm=float(np.linalg.norm(disp)),
-    )
-
-
-def simulate_votes(model: DentalModel, subsample: int, noise: VoteNoiseModel) -> list[Vote]:
-    """Simulated Hough votes for FPS-selected seed points.
+def simulate_votes(model: DentalModel, subsample: int, noise: VoteNoiseModel) -> Votes:
+    """Simulated Hough votes for FPS-selected seed points, in seed order.
 
     Tooth seeds vote toward their instance centroid (plus Gaussian noise);
     gingiva seeds are dropped in 'suppressed' mode, or in 'clutter' mode a
@@ -253,16 +278,22 @@ def simulate_votes(model: DentalModel, subsample: int, noise: VoteNoiseModel) ->
     keep_draw = rng.random(subsample)
     clutter_noise = rng.normal(0.0, 1.0, (subsample, 3))
 
-    votes: list[Vote] = []
-    for i, s in enumerate(seeds):
-        label = model.labels[s]
-        if label > 0:
-            disp = model.centroids[label - 1] - model.cloud.points[s]
-            disp = disp + noise.tooth_vote_sigma * tooth_noise[i]
-            votes.append(make_vote(model.cloud, s, disp))
-        elif noise.gingiva_vote_mode == "clutter" and keep_draw[i] < noise.clutter_fraction:
-            votes.append(make_vote(model.cloud, s, noise.clutter_sigma * clutter_noise[i]))
-    return votes
+    label = model.labels[seeds]
+    tooth = label > 0
+    clutter = (
+        ~tooth
+        & (noise.gingiva_vote_mode == "clutter")
+        & (keep_draw < noise.clutter_fraction)
+    )
+    # label - 1 is -1 on gingiva seeds; np.where discards those rows
+    to_centroid = model.centroids[label - 1] - model.cloud.points[seeds]
+    disp = np.where(
+        tooth[:, None],
+        to_centroid + noise.tooth_vote_sigma * tooth_noise,
+        noise.clutter_sigma * clutter_noise,
+    )
+    keep = tooth | clutter
+    return Votes.from_seeds(model.cloud.points, seeds[keep], disp[keep])
 
 
 def ground_truth_offsets(model: DentalModel, seed_indices, centroids=None) -> np.ndarray:

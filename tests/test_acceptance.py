@@ -32,8 +32,8 @@ from archseg.segmentation import crop_patch, fuse_patches, iou_dice, segment_pat
 from archseg.synthetic import (
     DEFAULT_ARCH_CONTROL,
     VoteNoiseModel,
+    Votes,
     generate_model,
-    make_vote,
     with_seed,
 )
 
@@ -228,15 +228,13 @@ def test_criterion_9_nms_and_sampling_invariants(full_report, benchmark_config):
     arch = sample_arch_from_bezier(BezierCurve(DEFAULT_ARCH_CONTROL))
     rng = np.random.default_rng(3)
     positions = rng.normal(size=(300, 3))
-    cloud = PointCloud(positions)
-    votes = [make_vote(cloud, i, np.zeros(3)) for i in range(300)]
+    votes = Votes.from_seeds(positions, np.arange(300), np.zeros((300, 3)))
     sel = arch_aware_sampling(votes, arch, SamplingParams(n_samples=64))
     assert len(np.unique(sel)) == 64
 
     # beta -> large: minimal-displacement votes win regardless of position
     disp = np.array([[0.0, 0.0, 0.001 * k] for k in range(20)])
-    cloud2 = PointCloud(rng.normal(size=(20, 3)))
-    votes2 = [make_vote(cloud2, i, d) for i, d in enumerate(disp)]
+    votes2 = Votes.from_seeds(rng.normal(size=(20, 3)), np.arange(20), disp)
     sel2 = arch_aware_sampling(votes2, arch, SamplingParams(beta=1e9, n_samples=5))
     assert sorted(sel2.tolist()) == [0, 1, 2, 3, 4]
 
@@ -248,13 +246,10 @@ def test_criterion_9_nms_and_sampling_invariants(full_report, benchmark_config):
     vts = simulate_votes(model, 1024, benchmark_config.noise)
     s = arch_aware_sampling(vts, model.gt_arch, benchmark_config.sampling)
     props = make_proposals(group_votes(s, vts, 0.1), vts)
-    kept = nms(props, benchmark_config.detection.nms_radius, 20)
+    kept = props.position[nms(props, benchmark_config.detection.nms_radius, 20)]
     for i, p in enumerate(kept):
         for q in kept[i + 1:]:
-            assert (
-                np.linalg.norm(p.position - q.position)
-                >= benchmark_config.detection.nms_radius
-            )
+            assert np.linalg.norm(p - q) >= benchmark_config.detection.nms_radius
     report("criterion 9 (NMS and sampling invariants)", time.perf_counter() - t0,
            "pairwise NMS distances, APS distinctness, beta-limit all hold")
 

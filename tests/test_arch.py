@@ -15,8 +15,7 @@ from archseg.arch import (
     sample_arch_from_bezier,
 )
 from archseg.bezier import BezierCurve, bezier_eval
-from archseg.synthetic import DEFAULT_ARCH_CONTROL, make_vote
-from archseg.geometry import PointCloud
+from archseg.synthetic import DEFAULT_ARCH_CONTROL, Votes
 
 
 def semicircle_centroids(n=14, radius=1.0):
@@ -27,8 +26,10 @@ def semicircle_centroids(n=14, radius=1.0):
 
 
 def votes_at(positions):
-    cloud = PointCloud(np.asarray(positions, dtype=np.float64))
-    return [make_vote(cloud, i, np.zeros(3)) for i in range(len(positions))]
+    positions = np.asarray(positions, dtype=np.float64)
+    return Votes.from_seeds(
+        positions, np.arange(len(positions)), np.zeros_like(positions)
+    )
 
 
 class TestArchPolyline:

@@ -97,6 +97,26 @@ class TestRun:
         bad.write_text(json.dumps({"arch_mode": "banana"}))
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    @pytest.mark.parametrize(
+        "config, key",
+        [({"n_modles": 3}, "n_modles"), ({"scan": {"n_teeths": 8}}, "n_teeths")],
+    )
+    def test_unknown_config_key_exit_2(self, tmp_path, capsys, config, key):
+        bad = tmp_path / "typo.json"
+        bad.write_text(json.dumps(config))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and key in err[0]
+
+    def test_jobs_below_one_exit_2(self, tmp_path, config_path, capsys):
+        out = tmp_path / "o"
+        rc = main([
+            "run", "--config", str(config_path), "--out", str(out), "--jobs", "0",
+        ])
+        assert rc == 2
+        assert "jobs" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestAblations:
     def test_sampling_table(self, tmp_path, config_path, dataset_dir, capsys):

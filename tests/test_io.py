@@ -44,21 +44,6 @@ class TestPly:
         assert "property int instance" in header
 
 
-class TestCloudJson:
-    def test_round_trip(self, tmp_path):
-        rng = np.random.default_rng(1)
-        pts = rng.normal(size=(15, 3))
-        labels = rng.integers(0, 5, 15)
-        path = tmp_path / "c.json"
-        aio.write_cloud_json(path, pts, labels)
-        got_pts, got_labels = aio.read_cloud_json(path)
-        assert np.array_equal(got_pts, pts)
-        assert np.array_equal(got_labels, labels)
-        with open(path) as fh:
-            payload = json.load(fh)
-        assert set(payload) == {"points", "labels"}
-
-
 class TestModelRoundTrip:
     def test_save_load_exact(self, tmp_path, model):
         aio.save_model(model, tmp_path / "m.ply", tmp_path / "m.json")
@@ -68,9 +53,7 @@ class TestModelRoundTrip:
         assert np.array_equal(loaded.centroids, model.centroids)
         assert np.array_equal(loaded.gt_arch.points, model.gt_arch.points)
         assert np.array_equal(loaded.gt_bezier.control, model.gt_bezier.control)
-        assert aio.scan_config_to_dict(loaded.config_echo) == aio.scan_config_to_dict(
-            model.config_echo
-        )
+        assert loaded.config_echo.to_dict() == model.config_echo.to_dict()
 
     def test_sidecar_keys(self, tmp_path, model):
         aio.save_model(model, tmp_path / "m.ply", tmp_path / "m.json")

@@ -84,25 +84,22 @@ class TestGenerateModel:
 class TestSimulateVotes:
     def test_zero_noise_votes_at_centroids(self, model):
         votes = simulate_votes(model, 1024, VoteNoiseModel())
-        positions = np.array([v.position for v in votes])
-        uniq = np.unique(np.round(positions, 12), axis=0)
+        uniq = np.unique(np.round(votes.position, 12), axis=0)
         assert len(uniq) == model.n_teeth
-        for v in votes:
-            label = model.labels[v.seed_index]
-            assert label > 0  # suppressed mode drops gingiva
-            assert np.allclose(v.position, model.centroids[label - 1], atol=1e-12)
+        label = model.labels[votes.seed_index]
+        assert (label > 0).all()  # suppressed mode drops gingiva
+        assert np.allclose(votes.position, model.centroids[label - 1], atol=1e-12)
 
     def test_vote_identities(self, model):
         votes = simulate_votes(
             model, 512, VoteNoiseModel(tooth_vote_sigma=0.05, seed=3)
         )
-        for v in votes:
-            assert np.allclose(
-                v.position, model.cloud.points[v.seed_index] + v.displacement
-            )
-            assert v.displacement_norm == pytest.approx(
-                np.linalg.norm(v.displacement), abs=1e-12
-            )
+        assert np.allclose(
+            votes.position, model.cloud.points[votes.seed_index] + votes.displacement
+        )
+        assert votes.displacement_norm == pytest.approx(
+            np.linalg.norm(votes.displacement, axis=1), abs=1e-12
+        )
 
     def test_clutter_zero_fraction_equals_suppressed(self, model):
         a = simulate_votes(model, 512, VoteNoiseModel(seed=4))
@@ -112,29 +109,25 @@ class TestSimulateVotes:
             VoteNoiseModel(gingiva_vote_mode="clutter", clutter_fraction=0.0, seed=4),
         )
         assert len(a) == len(b)
-        assert all(
-            x.seed_index == y.seed_index and np.array_equal(x.position, y.position)
-            for x, y in zip(a, b)
-        )
+        assert np.array_equal(a.seed_index, b.seed_index)
+        assert np.array_equal(a.position, b.position)
 
     def test_clutter_adds_gingiva_votes(self, model):
         noise = VoteNoiseModel(
             gingiva_vote_mode="clutter", clutter_fraction=1.0, seed=4
         )
         votes = simulate_votes(model, 1024, noise)
-        gum = [v for v in votes if model.labels[v.seed_index] == 0]
-        assert len(gum) > 0
+        gum = model.labels[votes.seed_index] == 0
+        assert gum.sum() > 0
 
     def test_mean_vote_near_centroid(self, model):
         sigma = 0.02
         votes = simulate_votes(
             model, 2048, VoteNoiseModel(tooth_vote_sigma=sigma, seed=8)
         )
-        by_tooth = {}
-        for v in votes:
-            by_tooth.setdefault(model.labels[v.seed_index], []).append(v.position)
-        for label, pos in by_tooth.items():
-            pos = np.array(pos)
+        labels = model.labels[votes.seed_index]
+        for label in np.unique(labels):
+            pos = votes.position[labels == label]
             err = np.linalg.norm(pos.mean(axis=0) - model.centroids[label - 1])
             assert err < 3 * sigma / np.sqrt(len(pos)) * 3  # 3-sigma, 3 coords
 
