@@ -110,6 +110,12 @@ def farthest_point_sampling(cloud: PointCloud, k: int, start_index: int = 0) -> 
 
     output[0] = start_index; each subsequent pick maximizes its minimum
     distance to all previously chosen points, ties broken by lowest index.
+
+    Distances are computed over contiguous x, y, z columns as
+    sqrt((x - xj)**2 + (y - yj)**2 + (z - zj)**2), summed in that order, so
+    each is bitwise equal to ``np.linalg.norm(pts - pts[j], axis=1)``.  The
+    selected indices therefore do not depend on the points' memory layout or
+    on the BLAS kernel.
     """
     pts = cloud.points
     n = len(pts)
@@ -117,13 +123,23 @@ def farthest_point_sampling(cloud: PointCloud, k: int, start_index: int = 0) -> 
         raise ValueError(f"k={k} out of range for cloud of size {n}")
     if not 0 <= start_index < n:
         raise ValueError(f"start_index={start_index} out of range")
+    x, y, z = np.ascontiguousarray(pts.T)
+    dist = np.empty(n)
+    term = np.empty(n)
+    min_dist = np.full(n, np.inf)
     selected = np.empty(k, dtype=np.intp)
     selected[0] = start_index
-    min_dist = np.linalg.norm(pts - pts[start_index], axis=1)
     for i in range(1, k):
-        j = int(np.argmax(min_dist))  # argmax returns the first (lowest) index on ties
-        selected[i] = j
-        np.minimum(min_dist, np.linalg.norm(pts - pts[j], axis=1), out=min_dist)
+        j = selected[i - 1]
+        np.subtract(x, x[j], out=dist)
+        np.multiply(dist, dist, out=dist)
+        for col in (y, z):
+            np.subtract(col, col[j], out=term)
+            np.multiply(term, term, out=term)
+            np.add(dist, term, out=dist)
+        np.sqrt(dist, out=dist)
+        np.minimum(min_dist, dist, out=min_dist)
+        selected[i] = np.argmax(min_dist)  # the first (lowest) index on ties
     return selected
 
 

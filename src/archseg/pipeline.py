@@ -106,7 +106,9 @@ class ExperimentConfig:
             ("refine", RefineParams),
             ("segmentation", SegParams),
         ]:
-            if key in d and isinstance(d[key], dict):
+            if key in d:
+                if not isinstance(d[key], dict):
+                    raise ValueError(f"config section '{key}' must be an object")
                 d[key] = config_from_dict(klass, d[key])
         return config_from_dict(cls, d)
 

@@ -108,6 +108,16 @@ class TestRun:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and key in err[0]
 
+    @pytest.mark.parametrize("section", ["noise", "scan"])
+    def test_non_object_config_section_exit_2(self, tmp_path, capsys, section):
+        config = dict(TINY_CONFIG, n_models=1, vote_subsample=256)
+        config[section] = 5
+        bad = tmp_path / "section.json"
+        bad.write_text(json.dumps(config))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and f"'{section}'" in err[0]
+
     def test_jobs_below_one_exit_2(self, tmp_path, config_path, capsys):
         out = tmp_path / "o"
         rc = main([

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from archseg.geometry import (
     DegenerateCloudError,
@@ -14,6 +15,8 @@ from archseg.geometry import (
     k_nearest,
     normalize_model,
 )
+from archseg.pipeline import model_seeds
+from archseg.synthetic import generate_model, with_seed
 
 
 def cloud(n, seed=0, scale=1.0):
@@ -96,6 +99,84 @@ class TestFPS:
     def test_too_many(self):
         with pytest.raises(ValueError):
             farthest_point_sampling(cloud(5), 6)
+
+
+def greedy_fps_reference(cloud, k, start_index=0):
+    """Row-wise greedy FPS over the (N, 3) points: the oracle the
+    column-wise ``farthest_point_sampling`` must match index for index."""
+    pts = cloud.points
+    selected = np.empty(k, dtype=np.intp)
+    selected[0] = start_index
+    min_dist = np.linalg.norm(pts - pts[start_index], axis=1)
+    for i in range(1, k):
+        j = int(np.argmax(min_dist))  # argmax returns the first (lowest) index on ties
+        selected[i] = j
+        np.minimum(min_dist, np.linalg.norm(pts - pts[j], axis=1), out=min_dist)
+    return selected
+
+
+@st.composite
+def grid_clouds(draw):
+    """Small grid clouds with repeated points, so distances tie often.
+
+    On a 0.1 or 0.3 grid, distances that tie in exact arithmetic may differ
+    in the last bit depending on the order the squares are summed in, and
+    on whether the square root is taken.
+    """
+    n_sites = draw(st.integers(1, 30))
+    sites = draw(hnp.arrays(
+        np.int64, (n_sites, 3), elements=st.integers(-3, 3), fill=st.nothing()
+    ))
+    picks = draw(hnp.arrays(
+        np.intp, draw(st.integers(1, 60)),
+        elements=st.integers(0, n_sites - 1), fill=st.nothing(),
+    ))
+    step = draw(st.sampled_from([1.0, 0.1, 0.3]))
+    pts = step * sites[picks]
+    return pts, draw(st.integers(0, len(pts) - 1))
+
+
+@pytest.fixture(scope="module")
+def pinned_scan_0(benchmark_config):
+    scan_seed, _ = model_seeds(benchmark_config, 0)
+    return generate_model(with_seed(benchmark_config.scan, scan_seed)).cloud
+
+
+class TestFPSEquivalence:
+    @given(grid_clouds())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_rowwise_reference_on_ties(self, case):
+        """Every point in FPS order; a smaller k selects a prefix of it."""
+        pts, start_index = case
+        k = len(pts)
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            c = PointCloud(layout(pts))
+            got = farthest_point_sampling(c, k, start_index)
+            assert np.array_equal(got, greedy_fps_reference(c, k, start_index))
+
+    @pytest.mark.parametrize("step", [0.1, 0.3])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_matches_rowwise_reference_on_dense_grid(self, step, seed):
+        """Every point of a 400-point cloud on 343 grid sites, in FPS order."""
+        rng = np.random.default_rng(seed)
+        pts = step * rng.integers(-3, 4, size=(400, 3))
+        start_index = int(rng.integers(400))
+        for layout in (np.ascontiguousarray, np.asfortranarray):
+            c = PointCloud(layout(pts))
+            got = farthest_point_sampling(c, 400, start_index)
+            assert np.array_equal(got, greedy_fps_reference(c, 400, start_index))
+
+    def test_pinned_scan_0_matches_reference(self, pinned_scan_0, benchmark_config):
+        k = benchmark_config.vote_subsample
+        got = farthest_point_sampling(pinned_scan_0, k)
+        assert np.array_equal(got, greedy_fps_reference(pinned_scan_0, k))
+
+    def test_speed_pinned_scan_0(self, benchmark, pinned_scan_0, benchmark_config):
+        k = benchmark_config.vote_subsample
+        sel = benchmark.pedantic(
+            farthest_point_sampling, args=(pinned_scan_0, k), rounds=3, iterations=1
+        )
+        assert len(sel) == k
 
 
 def brute_chamfer(a, b):
