@@ -115,6 +115,13 @@ def greedy_fps_reference(cloud, k, start_index=0):
     return selected
 
 
+def assert_matches_reference(pts, k, start_index):
+    for layout in (np.ascontiguousarray, np.asfortranarray):
+        c = PointCloud(layout(pts))
+        got = farthest_point_sampling(c, k, start_index)
+        assert np.array_equal(got, greedy_fps_reference(c, k, start_index))
+
+
 @st.composite
 def grid_clouds(draw):
     """Small grid clouds with repeated points, so distances tie often.
@@ -148,11 +155,7 @@ class TestFPSEquivalence:
     def test_matches_rowwise_reference_on_ties(self, case):
         """Every point in FPS order; a smaller k selects a prefix of it."""
         pts, start_index = case
-        k = len(pts)
-        for layout in (np.ascontiguousarray, np.asfortranarray):
-            c = PointCloud(layout(pts))
-            got = farthest_point_sampling(c, k, start_index)
-            assert np.array_equal(got, greedy_fps_reference(c, k, start_index))
+        assert_matches_reference(pts, len(pts), start_index)
 
     @pytest.mark.parametrize("step", [0.1, 0.3])
     @pytest.mark.parametrize("seed", range(3))
@@ -160,11 +163,7 @@ class TestFPSEquivalence:
         """Every point of a 400-point cloud on 343 grid sites, in FPS order."""
         rng = np.random.default_rng(seed)
         pts = step * rng.integers(-3, 4, size=(400, 3))
-        start_index = int(rng.integers(400))
-        for layout in (np.ascontiguousarray, np.asfortranarray):
-            c = PointCloud(layout(pts))
-            got = farthest_point_sampling(c, 400, start_index)
-            assert np.array_equal(got, greedy_fps_reference(c, 400, start_index))
+        assert_matches_reference(pts, 400, int(rng.integers(400)))
 
     def test_pinned_scan_0_matches_reference(self, pinned_scan_0, benchmark_config):
         k = benchmark_config.vote_subsample
