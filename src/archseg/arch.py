@@ -12,7 +12,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bezier import BezierCurve, bezier_sample_uniform
-from .geometry import huber_l1
 
 ARCH_POINTS = 32
 
@@ -174,16 +173,6 @@ def refine_arch(init: ArchPolyline, votes, params: RefineParams = RefineParams()
         smoothed = _smooth_offsets(raw, params.smoothing_lambda, params.smoothing_passes)
         pts = pts + params.step_size * smoothed
     return ArchPolyline(pts)
-
-
-def loss_ctr(pred: BezierCurve, target: BezierCurve, delta: float = 1.0) -> float:
-    """Mean Huber loss over the 4 control-point residuals."""
-    return huber_l1(pred.control, target.control, delta)
-
-
-def loss_arch(pred: ArchPolyline, gt: ArchPolyline, delta: float = 1.0) -> float:
-    """Mean Huber loss over the 32 index-aligned arch point residuals."""
-    return huber_l1(pred.points, gt.points, delta)
 
 
 def arch_mse(pred: ArchPolyline, gt: ArchPolyline) -> float:

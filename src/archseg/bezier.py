@@ -60,22 +60,13 @@ def bezier_second_derivative(curve: BezierCurve, t) -> np.ndarray:
     )
 
 
-def _arc_length_table(curve: BezierCurve, segments: int = 1024):
-    """Dense parameter grid and cumulative piecewise-linear arc length."""
+def arc_length_params(curve: BezierCurve, fractions, segments: int = 1024) -> np.ndarray:
+    """Parameters t at which arc length reaches the given fractions of total,
+    measured along the polyline through `segments + 1` uniform-t samples."""
     t = np.linspace(0.0, 1.0, segments + 1)
     pts = _bernstein(t) @ curve.control
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
-    return t, cum
-
-
-def arc_length(curve: BezierCurve, segments: int = 1024) -> float:
-    return float(_arc_length_table(curve, segments)[1][-1])
-
-
-def arc_length_params(curve: BezierCurve, fractions, segments: int = 1024) -> np.ndarray:
-    """Parameters t at which arc length reaches the given fractions of total."""
-    t, cum = _arc_length_table(curve, segments)
     total = cum[-1]
     if total <= 0:
         # degenerate curve (all control points coincide)

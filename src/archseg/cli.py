@@ -88,6 +88,8 @@ def write_csv(path, headers, rows) -> None:
 
 def cmd_generate(args) -> int:
     config = _config_from_args(args)
+    if not 0.0 <= args.weak_ratio <= 1.0:
+        raise ValueError(f"--weak-ratio must be in [0, 1], got {args.weak_ratio}")
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
     rng = np.random.default_rng(config.seed)

@@ -13,14 +13,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .arch import ArchPolyline, build_target_arch, order_centroids
-from .bezier import (
-    BezierCurve,
-    arc_length_params,
-    bezier_derivative,
-    bezier_eval,
-    fit_bezier,
-)
+from .arch import ArchPolyline, build_target_arch
+from .bezier import BezierCurve, arc_length_params, bezier_derivative, bezier_eval
 from .geometry import PointCloud, farthest_point_sampling, normalize_model
 
 # Canonical jaw-plane arch: U shape spanning x in [-0.85, 0.85].
@@ -83,11 +77,24 @@ class ScanConfig:
 
 
 def config_from_dict(klass, d: dict):
-    """`klass(**d)` for a config dataclass, naming any key it has no field for."""
-    unknown = set(d) - {f.name for f in fields(klass)}
+    """`klass(**d)` for a config dataclass.  Every error is a ValueError that
+    names an unknown key, a scalar key whose JSON type is not its default's
+    (a float field also takes an int; a bool is not an int), or the class."""
+    defaults = {f.name: f.default for f in fields(klass)}
+    unknown = set(d) - set(defaults)
     if unknown:
         raise ValueError(f"unknown {klass.__name__} key(s): {', '.join(sorted(unknown))}")
-    return klass(**d)
+    for key, value in d.items():
+        kind = type(defaults[key])
+        accepted = (int, float) if kind is float else kind
+        if kind in (bool, int, float, str) and (
+            not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool)
+        ):
+            raise ValueError(f"{klass.__name__} key '{key}' must be {kind.__name__}, got {value!r}")
+    try:
+        return klass(**d)
+    except TypeError as exc:
+        raise ValueError(f"invalid {klass.__name__}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -98,7 +105,6 @@ class DentalModel:
     labels: np.ndarray  # per-point instance id, 0 = gingiva, 1..T = teeth
     centroids: np.ndarray  # (T, 3) label-mask means
     gt_arch: ArchPolyline
-    gt_bezier: BezierCurve
     config_echo: ScanConfig
 
     def __post_init__(self):
@@ -249,15 +255,11 @@ def generate_model(config: ScanConfig) -> DentalModel:
     centroids = np.stack(
         [cloud.points[labels == k].mean(axis=0) for k in range(1, n_instances + 1)]
     )
-    gt_arch = build_target_arch(centroids)
-    ordered = centroids[order_centroids(centroids)]
-    gt_bezier, _ = fit_bezier(ordered)
     return DentalModel(
         cloud=cloud,
         labels=labels,
         centroids=centroids,
-        gt_arch=gt_arch,
-        gt_bezier=gt_bezier,
+        gt_arch=build_target_arch(centroids),
         config_echo=config,
     )
 

@@ -8,8 +8,6 @@ from archseg.arch import (
     RefineParams,
     arch_mse,
     build_target_arch,
-    loss_arch,
-    loss_ctr,
     order_centroids,
     refine_arch,
     sample_arch_from_bezier,
@@ -156,14 +154,6 @@ class TestRefineArch:
 
 
 class TestLosses:
-    def test_loss_ctr_zero_on_equal(self):
-        c = BezierCurve(DEFAULT_ARCH_CONTROL)
-        assert loss_ctr(c, c) == 0.0
-
-    def test_loss_arch_zero_on_equal(self):
-        arch = sample_arch_from_bezier(BezierCurve(DEFAULT_ARCH_CONTROL))
-        assert loss_arch(arch, arch) == 0.0
-
     def test_arch_mse_hand_value(self):
         arch = sample_arch_from_bezier(BezierCurve(DEFAULT_ARCH_CONTROL))
         shifted = ArchPolyline(arch.points + [0.1, 0.0, 0.0])

@@ -5,7 +5,6 @@ from hypothesis import given, settings, strategies as st
 from archseg.bezier import (
     BezierCurve,
     _least_squares_fit,
-    arc_length,
     arc_length_params,
     bezier_derivative,
     bezier_eval,
@@ -68,9 +67,6 @@ class TestEval:
 
 
 class TestArcLength:
-    def test_straight_line(self):
-        assert arc_length(LINE) == pytest.approx(1.0, rel=1e-9)
-
     def test_uniform_sampling_even_spacing(self):
         c = arch_like_curve(3)
         pts = bezier_sample_uniform(c, 32)

@@ -56,6 +56,18 @@ class TestGenerate:
             assert e["split"] == "weak"
             assert 1 <= len(e["visible_instances"]) <= 8
 
+    @pytest.mark.parametrize("ratio", ["1.5", "-0.5"])
+    def test_weak_ratio_out_of_range_exit_2(self, tmp_path, config_path, capsys, ratio):
+        out = tmp_path / "weak"
+        rc = main([
+            "generate", "--config", str(config_path), "--out", str(out),
+            "--weak-ratio", ratio,
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "--weak-ratio" in err[0]
+        assert not list(out.glob("model_*"))
+
 
 class TestRun:
     def test_run_on_dataset(self, tmp_path, config_path, dataset_dir, capsys):
@@ -99,7 +111,25 @@ class TestRun:
 
     @pytest.mark.parametrize(
         "config, key",
-        [({"n_modles": 3}, "n_modles"), ({"scan": {"n_teeths": 8}}, "n_teeths")],
+        [
+            ({"n_modles": 3}, "n_modles"),
+            ({"scan": {"n_teeths": 8}}, "n_teeths"),
+            # a scalar of the wrong JSON type is named by its key; a TypeError
+            # from the constructor by the config class
+            pytest.param({"n_models": "3"}, "n_models", id="n_models_str"),
+            pytest.param({"n_models": 2.5}, "n_models", id="n_models_float"),
+            pytest.param(
+                {"scan": {"tooth_radius_range": 5}}, "ScanConfig", id="radius_range_int"
+            ),
+            pytest.param(
+                dict(TINY_CONFIG, n_models=1, vote_subsample=256.5), "vote_subsample",
+                id="vote_subsample_float",
+            ),
+            pytest.param(
+                dict(TINY_CONFIG, n_models=1, scan={"n_points": 2000.0, "n_teeth": 8}),
+                "n_points", id="n_points_float",
+            ),
+        ],
     )
     def test_unknown_config_key_exit_2(self, tmp_path, capsys, config, key):
         bad = tmp_path / "typo.json"

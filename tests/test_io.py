@@ -44,24 +44,34 @@ class TestPly:
         assert "property int instance" in header
 
 
+def assert_same_model(loaded, model):
+    assert np.array_equal(loaded.cloud.points, model.cloud.points)
+    assert np.array_equal(loaded.labels, model.labels)
+    assert np.array_equal(loaded.centroids, model.centroids)
+    assert np.array_equal(loaded.gt_arch.points, model.gt_arch.points)
+    assert loaded.config_echo.to_dict() == model.config_echo.to_dict()
+
+
 class TestModelRoundTrip:
     def test_save_load_exact(self, tmp_path, model):
         aio.save_model(model, tmp_path / "m.ply", tmp_path / "m.json")
-        loaded = aio.load_model(tmp_path / "m.ply", tmp_path / "m.json")
-        assert np.array_equal(loaded.cloud.points, model.cloud.points)
-        assert np.array_equal(loaded.labels, model.labels)
-        assert np.array_equal(loaded.centroids, model.centroids)
-        assert np.array_equal(loaded.gt_arch.points, model.gt_arch.points)
-        assert np.array_equal(loaded.gt_bezier.control, model.gt_bezier.control)
-        assert loaded.config_echo.to_dict() == model.config_echo.to_dict()
+        assert_same_model(aio.load_model(tmp_path / "m.ply", tmp_path / "m.json"), model)
 
     def test_sidecar_keys(self, tmp_path, model):
         aio.save_model(model, tmp_path / "m.ply", tmp_path / "m.json")
         with open(tmp_path / "m.json") as fh:
             sidecar = json.load(fh)
-        assert set(sidecar) == {"centroids", "arch", "bezier_control", "config"}
+        assert set(sidecar) == {"centroids", "arch", "config"}
         assert len(sidecar["arch"]) == 32
-        assert len(sidecar["bezier_control"]) == 4
+
+    def test_loads_sidecar_with_bezier_control(self, tmp_path, model):
+        """Sidecars written before the ground-truth Bézier was dropped carry
+        a `bezier_control` key; the loader ignores it."""
+        aio.save_model(model, tmp_path / "m.ply", tmp_path / "m.json")
+        sidecar = json.loads((tmp_path / "m.json").read_text())
+        sidecar["bezier_control"] = np.eye(4, 3).tolist()
+        (tmp_path / "m.json").write_text(json.dumps(sidecar))
+        assert_same_model(aio.load_model(tmp_path / "m.ply", tmp_path / "m.json"), model)
 
     def test_missing_labels_rejected(self, tmp_path, model):
         aio.write_ply(tmp_path / "nolab.ply", model.cloud.points)
