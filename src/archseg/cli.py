@@ -57,14 +57,14 @@ def _config_from_args(args) -> ExperimentConfig:
     return config
 
 
-def _runner(args):
+def _runner(args, stages=None):
     """config -> MetricsReport, over --dataset's models if given, else over
-    models generated from the config."""
+    models generated from the config; `stages` as in `run_dataset`."""
     if not args.dataset:
-        return lambda config: run_dataset(config, jobs=args.jobs)
+        return lambda config: run_dataset(config, jobs=args.jobs, stages=stages)
     models, visible = aio.load_dataset(Path(args.dataset) / "manifest.json")
     return lambda config: run_models(
-        config, models, jobs=args.jobs, visible_lists=visible
+        config, models, jobs=args.jobs, visible_lists=visible, stages=stages
     )
 
 
@@ -136,8 +136,11 @@ def _fmt(x, nd=2):
 
 def _ablate(args, name, headers, variants, extra_cells) -> int:
     """Run each (label, config) variant; its table row is the label, Acc.,
-    Recall, then `extra_cells(aggregate)`.  Written to name.csv/.txt."""
-    run = _runner(args)
+    Recall, then `extra_cells(aggregate)`.  Written to name.csv/.txt.
+
+    The variants run on the same models and share one dict of stage outputs,
+    so each stage prefix they have in common runs once per model."""
+    run = _runner(args, stages={})
     headers = [headers[0], "Acc.", "Recall", *headers[1:]]
     rows = []
     failed = False

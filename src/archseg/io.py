@@ -24,13 +24,16 @@ def write_ply(path, points: np.ndarray, labels=None) -> None:
     if labels is not None:
         lines.append("property int instance")
     lines.append("end_header")
+    # One %-format over all rows; an object array keeps Python floats and
+    # ints, so each value prints as f"{x:.17g}" / str(int(label)) would.
+    row = "%.17g %.17g %.17g" + ("" if labels is None else " %d") + "\n"
+    values = np.empty((len(points), row.count("%")), dtype=object)
+    values[:, :3] = points
+    if labels is not None:
+        values[:, 3] = labels
     with open(path, "w") as fh:
         fh.write("\n".join(lines) + "\n")
-        for i, p in enumerate(points):
-            row = f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}"
-            if labels is not None:
-                row += f" {int(labels[i])}"
-            fh.write(row + "\n")
+        fh.write((row * len(points)) % tuple(values.ravel().tolist()))
 
 
 def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:

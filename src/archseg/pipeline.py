@@ -5,6 +5,13 @@ vote simulation, arch estimation mode (direct_fit / coarse / coarse_fine),
 vote sampling method (aps / fps / random), detection, and segmentation.
 run_dataset generates the models, runs the pipeline per model, and reduces
 per-model metrics into a MetricsReport with exact-mean aggregates.
+
+run_model runs named stages in order: votes -> arch (pregroup -> bezier ->
+refine) -> select -> proposals, then NMS, metrics and segmentation.  Each
+stage reads its upstream outputs and only the config fields STAGE_FIELDS
+lists for it, so a caller that runs several configs over the same models
+can pass `stages` and have every config reuse the outputs whose config
+slice it shares (as the ablation commands do).
 """
 
 from __future__ import annotations
@@ -129,24 +136,68 @@ def model_seeds(config: ExperimentConfig, index: int) -> tuple[int, int]:
     return base + index, base + 500_000 + index
 
 
-def estimate_arch(model: DentalModel, votes, config: ExperimentConfig) -> ArchPolyline:
+# Per stage, in pipeline order, the config fields it reads ("a.b" is field b
+# of section a).  A stored stage output is keyed by the values of its own
+# fields and of every upstream stage's (`stage_keys`).
+STAGE_FIELDS = (
+    ("votes", ("scan", "seed", "vote_subsample", "noise")),
+    ("pregroup", ("pregroup_radius", "pregroup_min_size_frac")),
+    ("bezier", ()),
+    ("refine", ("refine",)),
+    ("select", ("arch_mode", "sampling_method", "sampling")),
+    ("proposals", ("detection.grouping_radius",)),
+)
+
+
+def stage_keys(config: ExperimentConfig) -> dict:
+    """Stage name -> the JSON text of the config slice its output depends on."""
+    d = config.to_dict()
+    keys, upstream = {}, {}
+    for name, names in STAGE_FIELDS:
+        for path in names:
+            value = d
+            for part in path.split("."):
+                value = value[part]
+            upstream[path] = value
+        keys[name] = json.dumps([name, upstream], sort_keys=True)
+    return keys
+
+
+def _stage(stages, keys, name, compute):
+    """compute(), or the output `stages` holds under `keys[name]`; a computed
+    output is added to `stages`.  `stages` None computes and stores nothing."""
+    if stages is None:
+        return compute()
+    key = keys[name]
+    if key not in stages:
+        stages[key] = compute()
+    return stages[key]
+
+
+def estimate_arch(
+    model: DentalModel, votes, config: ExperimentConfig, stages=None, keys=None
+) -> ArchPolyline:
     """Arch estimate from votes only, per arch_mode.
 
     direct_fit: chain polyline through vote-cluster centers, no curve model.
     coarse: cubic Bézier fitted to the cluster centers, sampled to 32 points.
     coarse_fine: the coarse arch refined against the individual votes.
+    `stages`/`keys` as in `run_model`.
     """
-    centers = pregroup_votes(
+    centers = _stage(stages, keys, "pregroup", lambda: pregroup_votes(
         votes, config.pregroup_radius, config.pregroup_min_size_frac
-    )
+    ))
     if config.arch_mode == "direct_fit":
         return build_target_arch(centers)
-    ordered = centers[order_centroids(centers)]
-    curve, _ = fit_bezier(ordered)
-    coarse = sample_arch_from_bezier(curve)
+
+    def coarse_arch():
+        curve, _ = fit_bezier(centers[order_centroids(centers)])
+        return sample_arch_from_bezier(curve)
+
+    coarse = _stage(stages, keys, "bezier", coarse_arch)
     if config.arch_mode == "coarse":
         return coarse
-    return refine_arch(coarse, votes, config.refine)
+    return _stage(stages, keys, "refine", lambda: refine_arch(coarse, votes, config.refine))
 
 
 def select_votes(votes, arch: ArchPolyline, config: ExperimentConfig, seed: int) -> np.ndarray:
@@ -162,16 +213,24 @@ def run_model(
     config: ExperimentConfig,
     vote_seed: int,
     visible_instances=None,
+    stages=None,
 ) -> dict:
     """Full pipeline on one model; returns a flat metrics dict.
 
     `visible_instances` (1-based instance ids) restricts which ground-truth
     centroids the loss terms see, modeling weak annotation; detection and
     segmentation metrics always use the full ground truth.
+
+    `stages`, if given, is this model's dict of stage outputs from earlier
+    calls with the same model and vote seed: each stage whose `stage_keys`
+    entry it holds is reused, and each stage computed here is added to it.
     """
     t0 = time.perf_counter()
+    keys = None if stages is None else stage_keys(config)
     noise = replace(config.noise, seed=vote_seed)
-    votes = simulate_votes(model, config.vote_subsample, noise)
+    votes = _stage(stages, keys, "votes", lambda: simulate_votes(
+        model, config.vote_subsample, noise
+    ))
 
     if visible_instances is None:
         loss_centroids = model.centroids
@@ -179,10 +238,13 @@ def run_model(
         idx = np.asarray(sorted(visible_instances), dtype=np.intp) - 1
         loss_centroids = model.centroids[idx]
 
-    arch = estimate_arch(model, votes, config)
-    selected = select_votes(votes, arch, config, vote_seed)
-    clusters = group_votes(selected, votes, config.detection.grouping_radius)
-    proposals = make_proposals(clusters, votes)
+    arch = estimate_arch(model, votes, config, stages, keys)
+    selected = _stage(stages, keys, "select", lambda: select_votes(
+        votes, arch, config, vote_seed
+    ))
+    proposals = _stage(stages, keys, "proposals", lambda: make_proposals(
+        group_votes(selected, votes, config.detection.grouping_radius), votes
+    ))
     labels, proposals = assign_gt_confidence(
         proposals, loss_centroids, config.detection.conf_gt_threshold
     )
@@ -262,28 +324,46 @@ def aggregate_metrics(per_model: list) -> dict:
 
 
 def _run_one(args):
-    config, index, model, visible = args
+    """One model's metrics, and the stage outputs it computed that its
+    stored entries lacked (None when it was given none)."""
+    config, index, model, visible, stored = args
     _, vote_seed = model_seeds(config, index)
     if model is None:
         scan_seed, _ = model_seeds(config, index)
         model = generate_model(with_seed(config.scan, scan_seed))
-    return run_model(model, config, vote_seed, visible)
+    if stored is None:
+        return run_model(model, config, vote_seed, visible), None
+    stages = dict(stored)
+    metrics = run_model(model, config, vote_seed, visible, stages)
+    return metrics, {k: v for k, v in stages.items() if k not in stored}
 
 
-def run_dataset(config: ExperimentConfig, jobs: int = 1) -> MetricsReport:
-    """Run the pipeline over n_models freshly generated models."""
-    tasks = [(config, i, None, None) for i in range(config.n_models)]
+def _stored(stages, index):
+    return None if stages is None else stages.setdefault(index, {})
+
+
+def run_dataset(config: ExperimentConfig, jobs: int = 1, stages=None) -> MetricsReport:
+    """Run the pipeline over n_models freshly generated models.
+
+    `stages`, if given, is a dict the caller keeps across calls on the same
+    models: model index -> that model's stage outputs (see `run_model`).
+    Each model reuses what its entry holds and the entry keeps what the
+    model computed, whether the model ran here or in a worker.
+    """
+    tasks = [(config, i, None, None, _stored(stages, i)) for i in range(config.n_models)]
     return _reduce(config, tasks, jobs)
 
 
 def run_models(
-    config: ExperimentConfig, models, jobs: int = 1, visible_lists=None
+    config: ExperimentConfig, models, jobs: int = 1, visible_lists=None, stages=None
 ) -> MetricsReport:
-    """Run the pipeline over pre-generated (loaded) models."""
+    """Run the pipeline over pre-generated (loaded) models; `stages` as in
+    `run_dataset`, for the same list of models."""
     if visible_lists is None:
         visible_lists = [None] * len(models)
     tasks = [
-        (config, i, m, v) for i, (m, v) in enumerate(zip(models, visible_lists))
+        (config, i, m, v, _stored(stages, i))
+        for i, (m, v) in enumerate(zip(models, visible_lists))
     ]
     return _reduce(replace(config, n_models=len(models)), tasks, jobs)
 
@@ -291,7 +371,8 @@ def run_models(
 def _reduce(config: ExperimentConfig, tasks, jobs: int) -> MetricsReport:
     """Execute tasks (serially or in a worker pool) and reduce in index order.
 
-    Per-model failures are recorded and the run continues.
+    Per-model failures are recorded and the run continues.  A task's stored
+    stage entries (its last item) gain the outputs the task computed.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
@@ -313,7 +394,9 @@ def _reduce(config: ExperimentConfig, tasks, jobs: int) -> MetricsReport:
                 results.append((i, _run_one(task)))
             except Exception:
                 failures.append({"model": i, "error": traceback.format_exc()})
-    for i, metrics in results:
+    for i, (metrics, computed) in results:
+        if computed:
+            tasks[i][4].update(computed)
         metrics = dict(metrics)
         metrics["model"] = i
         per_model.append(metrics)

@@ -48,9 +48,15 @@ class ScanConfig:
     seed: int = 0
 
     def __post_init__(self):
-        ctrl = np.asarray(self.arch_control, dtype=np.float64)
-        if ctrl.shape != (4, 3):
-            raise ValueError("arch_control must be a (4, 3) array")
+        try:
+            ctrl = np.asarray(self.arch_control, dtype=np.float64)
+        except (TypeError, ValueError):
+            ctrl = None
+        if ctrl is None or ctrl.shape != (4, 3):
+            raise ValueError(
+                f"ScanConfig key 'arch_control' must be a (4, 3) array of numbers, "
+                f"got {self.arch_control!r}"
+            )
         ctrl.setflags(write=False)
         object.__setattr__(self, "arch_control", ctrl)
         object.__setattr__(self, "tooth_radius_range", tuple(self.tooth_radius_range))

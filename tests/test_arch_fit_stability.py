@@ -16,20 +16,19 @@ import pytest
 from archseg import pipeline
 from archseg.arch import arch_mse
 from archseg.bezier import fit_bezier
-from archseg.pipeline import estimate_arch, model_seeds
-from archseg.synthetic import generate_model, simulate_votes, with_seed
+from archseg.pipeline import estimate_arch, model_seeds, stage_keys
+from archseg.synthetic import generate_model, with_seed
 
 
 @pytest.fixture(scope="module")
-def pinned_votes(benchmark_config):
-    """(model, votes) per pinned model, one vote simulation each."""
-    out = []
-    for i in range(benchmark_config.n_models):
-        scan_seed, vote_seed = model_seeds(benchmark_config, i)
-        model = generate_model(with_seed(benchmark_config.scan, scan_seed))
-        noise = dataclasses.replace(benchmark_config.noise, seed=vote_seed)
-        out.append((model, simulate_votes(model, benchmark_config.vote_subsample, noise)))
-    return out
+def pinned_votes(benchmark_config, full_report, pinned_stages):
+    """(model, votes) per pinned model, the votes `full_report` simulated."""
+    key = stage_keys(benchmark_config)["votes"]
+    return [
+        (generate_model(with_seed(benchmark_config.scan, model_seeds(benchmark_config, i)[0])),
+         pinned_stages[i][key])
+        for i in range(benchmark_config.n_models)
+    ]
 
 
 def coarse_fine_errors(pinned_votes, config):
@@ -39,8 +38,10 @@ def coarse_fine_errors(pinned_votes, config):
     ]
 
 
-def test_arch_fit_stable_under_input_jitter(pinned_votes, benchmark_config, monkeypatch):
-    base = coarse_fine_errors(pinned_votes, benchmark_config)
+def test_arch_fit_stable_under_input_jitter(
+    pinned_votes, benchmark_config, full_report, monkeypatch
+):
+    base = [m["arch_mse"] for m in full_report.per_model]  # the same fit, unjittered
     rng = np.random.default_rng(0)
 
     def jittered_fit(targets):

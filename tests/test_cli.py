@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from archseg import cli, pipeline
 from archseg import io as aio
 from archseg.cli import main, render_table
 
@@ -129,6 +130,11 @@ class TestRun:
                 dict(TINY_CONFIG, n_models=1, scan={"n_points": 2000.0, "n_teeth": 8}),
                 "n_points", id="n_points_float",
             ),
+            # an array field numpy cannot convert is named by class and key
+            pytest.param(
+                {"scan": {"arch_control": "x"}}, "ScanConfig key 'arch_control'",
+                id="arch_control_str",
+            ),
         ],
     )
     def test_unknown_config_key_exit_2(self, tmp_path, capsys, config, key):
@@ -187,6 +193,86 @@ class TestAblations:
         with open(out / "ablate_arch.csv") as fh:
             header = fh.readline().strip().split(",")
         assert header == ["Mode", "Acc.", "Recall", "MSE(1e-4)"]
+
+
+def without_seconds(report):
+    return [{k: v for k, v in m.items() if k != "seconds"} for m in report.per_model]
+
+
+@pytest.fixture
+def recorded(monkeypatch):
+    """(function name, args, kwargs, report) of every run_dataset/run_models
+    call the CLI makes."""
+    calls = []
+    for name in ("run_dataset", "run_models"):
+        def record(*args, _fn=getattr(cli, name), _name=name, **kwargs):
+            report = _fn(*args, **kwargs)
+            calls.append((_name, args, kwargs, report))
+            return report
+
+        monkeypatch.setattr(cli, name, record)
+    return calls
+
+
+@pytest.fixture(scope="module")
+def weak_dataset_dir(tmp_path_factory, config_path):
+    out = tmp_path_factory.mktemp("weak") / "ds"
+    rc = main([
+        "generate", "--config", str(config_path), "--out", str(out),
+        "--weak-ratio", "0.5",
+    ])
+    assert rc == 0
+    return out
+
+
+ABLATIONS = ["ablate-sampling", "ablate-arch"]
+
+
+class TestSharedStages:
+    """Ablation variants share stage outputs per model; every report equals
+    the variant run alone."""
+
+    @pytest.mark.parametrize("command", ABLATIONS)
+    def test_variants_match_standalone_runs(self, config_path, recorded, command):
+        assert main([command, "--config", str(config_path)]) == 0
+        assert len(recorded) == (4 if command == "ablate-sampling" else 3)
+        for name, (config,), _, report in recorded:
+            assert name == "run_dataset"
+            assert without_seconds(report) == without_seconds(pipeline.run_dataset(config))
+
+    @pytest.mark.parametrize("command", ABLATIONS)
+    def test_weak_dataset_variants_match_standalone_runs(
+        self, config_path, weak_dataset_dir, recorded, command
+    ):
+        rc = main([command, "--config", str(config_path), "--dataset", str(weak_dataset_dir)])
+        assert rc == 0
+        models, visible = aio.load_dataset(weak_dataset_dir / "manifest.json")
+        assert all(v is not None and len(v) < 8 for v in visible)
+        for name, (config, _), kwargs, report in recorded:
+            assert name == "run_models" and kwargs["visible_lists"] == visible
+            alone = pipeline.run_models(config, models, visible_lists=visible)
+            assert without_seconds(report) == without_seconds(alone)
+
+    @pytest.mark.parametrize("command", ABLATIONS)
+    def test_jobs_2_tables_equal_serial(self, tmp_path, config_path, command):
+        for jobs in ("1", "2"):
+            out = tmp_path / f"jobs{jobs}"
+            assert main([command, "--config", str(config_path), "--jobs", jobs,
+                         "--out", str(out)]) == 0
+        for path in (tmp_path / "jobs1").iterdir():
+            assert path.read_bytes() == (tmp_path / "jobs2" / path.name).read_bytes()
+
+    def test_votes_simulated_once_per_model(self, config_path, monkeypatch):
+        calls = []
+        simulate = pipeline.simulate_votes
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return simulate(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, "simulate_votes", counted)
+        assert main(["ablate-sampling", "--config", str(config_path)]) == 0
+        assert len(calls) == TINY_CONFIG["n_models"]
 
 
 class TestEvalAndReport:

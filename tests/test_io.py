@@ -1,10 +1,27 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from archseg import io as aio
-from archseg.synthetic import ScanConfig, generate_model
+from archseg.pipeline import load_config, model_seeds
+from archseg.synthetic import ScanConfig, generate_model, with_seed
+
+
+BENCHMARK = load_config(Path(__file__).resolve().parents[1] / "configs" / "benchmark.json")
+
+
+def per_row_reference(points, labels=None) -> str:
+    """The PLY body as a per-point loop formats it: the reference for
+    `write_ply`'s vectorised rows."""
+    out = []
+    for i, p in enumerate(np.asarray(points, dtype=np.float64)):
+        row = f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}"
+        if labels is not None:
+            row += f" {int(labels[i])}"
+        out.append(row + "\n")
+    return "".join(out)
 
 
 @pytest.fixture(scope="module")
@@ -28,6 +45,27 @@ class TestPly:
         got, labels = aio.read_ply(path)
         assert labels is None
         assert np.array_equal(got, pts)
+
+    @pytest.mark.parametrize("with_labels", [True, False])
+    def test_rows_match_per_row_format(self, tmp_path, with_labels):
+        cases = [
+            generate_model(with_seed(BENCHMARK.scan, model_seeds(BENCHMARK, 0)[0])),
+            None,
+        ]
+        for case in cases:
+            if case is None:  # edge values: signed zero, tiny normal, subnormal
+                pts = np.array([[-0.0, 1e-300, 5e-324], [0.0, -1e-300, -5e-324]])
+                labels = np.array([0, 16])
+            else:
+                pts, labels = case.cloud.points, case.labels
+            labels = labels if with_labels else None
+            path = tmp_path / "rows.ply"
+            aio.write_ply(path, pts, labels)
+            got = path.read_text().split("end_header\n", 1)[1].splitlines(keepends=True)
+            want = per_row_reference(pts, labels).splitlines(keepends=True)
+            assert len(got) == len(want)
+            # the first differing row, not a diff of megabyte strings
+            assert next(((g, w) for g, w in zip(got, want) if g != w), None) is None
 
     def test_rejects_non_ply(self, tmp_path):
         path = tmp_path / "x.ply"

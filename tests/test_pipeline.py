@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from archseg.pipeline import (
+    STAGE_FIELDS,
     ExperimentConfig,
     MetricsReport,
     aggregate_metrics,
@@ -14,6 +15,7 @@ from archseg.pipeline import (
     run_model,
     run_models,
     save_config,
+    stage_keys,
 )
 from archseg.synthetic import ScanConfig, VoteNoiseModel, generate_model, with_seed
 
@@ -134,6 +136,118 @@ class TestRunDataset:
         for a, b in zip(tiny_report.per_model, loaded.per_model):
             assert a["accuracy"] == b["accuracy"]
             assert a["chamfer"] == b["chamfer"]
+
+
+def without_seconds(report):
+    return [{k: v for k, v in m.items() if k != "seconds"} for m in report.per_model]
+
+
+# One detection-only model with clutter votes, so every stage has work to do.
+STAGED = dataclasses.replace(
+    TINY,
+    n_models=1,
+    with_segmentation=False,
+    noise=VoteNoiseModel(
+        tooth_vote_sigma=0.02, gingiva_vote_mode="clutter", clutter_fraction=0.25,
+        clutter_sigma=0.08,
+    ),
+)
+
+
+def changed(**fields):
+    """STAGED with top-level fields replaced; a dict value replaces fields of
+    that section."""
+    for name, value in fields.items():
+        if isinstance(value, dict):
+            fields[name] = dataclasses.replace(getattr(STAGED, name), **value)
+    return dataclasses.replace(STAGED, **fields)
+
+
+@pytest.fixture(scope="module")
+def staged_outputs():
+    """The stage outputs of STAGED's model; tests copy them."""
+    stages = {}
+    run_dataset(STAGED, stages=stages)
+    return stages[0]
+
+
+class TestStages:
+    """A config run after STAGED on the same stage dict reuses only the stage
+    outputs whose config slice it shares: each field a stage key holds gets
+    a case that changes that field alone."""
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            pytest.param(changed(scan={"crowding_jitter": 0.02}), id="scan"),
+            pytest.param(changed(seed=1), id="seed"),
+            pytest.param(changed(vote_subsample=400), id="vote_subsample"),
+            pytest.param(changed(noise={"tooth_vote_sigma": 0.03}), id="noise"),
+            pytest.param(changed(pregroup_radius=0.06), id="pregroup_radius"),
+            pytest.param(changed(pregroup_min_size_frac=0.3), id="pregroup_min_size_frac"),
+            pytest.param(changed(refine={"step_size": 0.5}), id="refine"),
+            pytest.param(changed(arch_mode="coarse"), id="arch_mode"),
+            pytest.param(changed(sampling_method="fps"), id="sampling_method"),
+            pytest.param(changed(sampling={"n_samples": 48}), id="sampling"),
+            pytest.param(changed(detection={"grouping_radius": 0.08}), id="grouping_radius"),
+        ],
+    )
+    def test_changed_stage_field_recomputes(self, staged_outputs, variant):
+        shared = run_dataset(variant, stages={0: dict(staged_outputs)})
+        assert without_seconds(shared) == without_seconds(run_dataset(variant))
+
+    @pytest.mark.parametrize(
+        "variant",
+        [
+            pytest.param(changed(detection={"max_centroids": 30}), id="max_centroids"),
+            pytest.param(changed(detection={"nms_radius": 0.2}), id="nms_radius"),
+            pytest.param(changed(loss={"gamma": 0.5}), id="loss"),
+            pytest.param(changed(detection={"conf_gt_threshold": 0.2}), id="conf_gt_threshold"),
+            pytest.param(changed(detection={"match_threshold": 0.2}), id="match_threshold"),
+        ],
+    )
+    def test_downstream_change_reuses_every_stage(self, staged_outputs, variant):
+        assert len(staged_outputs) == len(STAGE_FIELDS)
+        stages = {0: dict(staged_outputs)}
+        shared = run_dataset(variant, stages=stages)
+        assert stages[0].keys() == staged_outputs.keys()
+        assert without_seconds(shared) == without_seconds(run_dataset(variant))
+
+    def test_arch_modes_share_pregroup_and_bezier(self, staged_outputs):
+        stages = {0: dict(staged_outputs)}
+        run_dataset(changed(arch_mode="coarse"), stages=stages)
+        run_dataset(changed(arch_mode="direct_fit"), stages=stages)
+        names = sorted(json.loads(key)[0] for key in stages[0])
+        assert names == sorted(
+            ["votes", "pregroup", "bezier", "refine"] + 3 * ["select", "proposals"]
+        )
+
+    def test_keys_name_only_upstream_fields(self):
+        base = stage_keys(STAGED)
+        after_votes = stage_keys(changed(pregroup_radius=0.06))
+        assert after_votes["votes"] == base["votes"]
+        assert all(after_votes[name] != base[name] for name in
+                   ("pregroup", "bezier", "refine", "select", "proposals"))
+
+    def test_jobs_2_stores_what_serial_stores(self, staged_outputs):
+        pooled = {}
+        run_dataset(STAGED, jobs=2, stages=pooled)
+        assert pooled[0].keys() == staged_outputs.keys()
+        votes = stage_keys(STAGED)["votes"]
+        np.testing.assert_array_equal(pooled[0][votes].position, staged_outputs[votes].position)
+
+    def test_run_models_stores_per_model(self):
+        models = [
+            generate_model(with_seed(STAGED.scan, model_seeds(STAGED, i)[0]))
+            for i in range(2)
+        ]
+        stages = {}
+        run_models(STAGED, models, visible_lists=[[1, 2], None], stages=stages)
+        variant = changed(sampling_method="fps")
+        shared = run_models(variant, models, visible_lists=[[1, 2], None], stages=stages)
+        alone = run_models(variant, models, visible_lists=[[1, 2], None])
+        assert sorted(stages) == [0, 1]
+        assert without_seconds(shared) == without_seconds(alone)
 
 
 class TestMetricsReport:
