@@ -1,15 +1,17 @@
 #!/usr/bin/env python3
 """Record one point of the benchmark trajectory as BENCH_<PR>.json.
 
-    python3 scripts/bench.py --pr 6 [--tree .] [--seed 0] [--seconds 30]
+    python3 scripts/bench.py --pr 6 [--tree .]
 
-Runs `perfbench/run.py` of the tree being measured for every workload, once
-untraced (the six end-to-end metrics) and once with `--trace 1` (the
-per-layer metrics), then the tier-1 test suite, and writes BENCH_<PR>.json
-into that tree: the environment block perfbench prints, both metric sets per
-workload, tier-1 wall time and summary, the `src/archseg` line count and
-`git_dirty`, which is true when `git status --porcelain` lists any change
-(perfbench's `git_commit` names HEAD even for a modified tree).
+Runs `perfbench/run.py` of the tree being measured for every workload at
+seed SEED for SECONDS seconds, once untraced (the six end-to-end metrics)
+and once with `--trace 1` (the per-layer metrics), then the tier-1 test
+suite, and writes BENCH_<PR>.json into that tree: the environment block
+perfbench prints (it holds the `src/archseg` line count), both metric sets
+per workload, tier-1 wall time and summary, and `git_dirty`, which is true
+when `git status --porcelain` lists any change (perfbench's `git_commit`
+names HEAD even for a modified tree).  Every point is taken at the same
+seed and duration, so points compare.
 """
 
 from __future__ import annotations
@@ -23,13 +25,15 @@ import time
 from pathlib import Path
 
 WORKLOADS = ("pinned", "ablation", "disk-jobs2")
+SEED = 0
+SECONDS = 30.0
 RUN_TIMEOUT_S = 600
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
 
 
-def perfbench(tree: Path, workload: str, seed: int, seconds: float, trace: int) -> dict:
-    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
-           "--seconds", str(seconds), "--trace", str(trace)]
+def perfbench(tree: Path, workload: str, trace: int) -> dict:
+    cmd = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(SEED),
+           "--seconds", str(SECONDS), "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=tree, capture_output=True, text=True, timeout=RUN_TIMEOUT_S)
     if proc.returncode != 0:
         sys.exit(f"{' '.join(cmd)} exited {proc.returncode}:\n{proc.stderr}")
@@ -56,18 +60,16 @@ def main(argv=None) -> int:
     parser.add_argument("--pr", type=int, required=True)
     parser.add_argument("--tree", type=Path, default=Path(__file__).resolve().parents[1],
                         help="checkout to measure (default: this one)")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--seconds", type=float, default=30.0)
     args = parser.parse_args(argv)
     tree = args.tree.resolve()
 
     status = subprocess.run(["git", "status", "--porcelain"], cwd=tree,
                             capture_output=True, text=True, check=True).stdout
-    out = {"pr": args.pr, "seed": args.seed, "seconds": args.seconds,
+    out = {"pr": args.pr, "seed": SEED, "seconds": SECONDS,
            "git_dirty": bool(status.strip()), "workloads": {}}
     for workload in WORKLOADS:
-        untraced = perfbench(tree, workload, args.seed, args.seconds, 0)
-        traced = perfbench(tree, workload, args.seed, args.seconds, 1)
+        untraced = perfbench(tree, workload, 0)
+        traced = perfbench(tree, workload, 1)
         out.setdefault("environment", untraced["environment"])
         out["workloads"][workload] = {
             "correct": untraced["correct"] and traced["correct"],
@@ -77,7 +79,6 @@ def main(argv=None) -> int:
         wall = untraced["metrics"]["wall_s_per_scan"]["value"]
         print(f"{workload}: wall_s_per_scan {wall:.4g}", flush=True)
     out["tier1"] = tier1(tree)
-    out["src_archseg_lines"] = out["environment"]["src_archseg_lines"]
     path = tree / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")
     print(f"tier-1: {out['tier1']['summary']}; wrote {path}")

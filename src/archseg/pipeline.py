@@ -331,11 +331,11 @@ def _run_one(args):
     if model is None:
         scan_seed, _ = model_seeds(config, index)
         model = generate_model(with_seed(config.scan, scan_seed))
-    if stored is None:
-        return run_model(model, config, vote_seed, visible), None
-    stages = dict(stored)
+    stages = None if stored is None else dict(stored)
     metrics = run_model(model, config, vote_seed, visible, stages)
-    return metrics, {k: v for k, v in stages.items() if k not in stored}
+    return metrics, None if stages is None else {
+        k: v for k, v in stages.items() if k not in stored
+    }
 
 
 def _stored(stages, index):

@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from archseg.pipeline import load_config, run_dataset
+from archseg.pipeline import load_config, run_dataset, stage_keys
 
 ROOT = Path(__file__).resolve().parents[1]
 BENCHMARK_CONFIG = ROOT / "configs" / "benchmark.json"
@@ -34,6 +34,13 @@ def full_report(benchmark_config, pinned_stages):
     """The pinned benchmark run end to end (detection + segmentation); it
     computes every stage itself, since criterion 10 checks it."""
     return run_dataset(benchmark_config, stages=pinned_stages)
+
+
+@pytest.fixture(scope="session")
+def pinned_votes_by_index(benchmark_config, full_report, pinned_stages):
+    """The votes `full_report` simulated, per pinned model index."""
+    key = stage_keys(benchmark_config)["votes"]
+    return [pinned_stages[i][key] for i in range(benchmark_config.n_models)]
 
 
 @pytest.fixture(scope="session")

@@ -16,18 +16,17 @@ import pytest
 from archseg import pipeline
 from archseg.arch import arch_mse
 from archseg.bezier import fit_bezier
-from archseg.pipeline import estimate_arch, model_seeds, stage_keys
+from archseg.pipeline import estimate_arch, model_seeds
 from archseg.synthetic import generate_model, with_seed
 
 
 @pytest.fixture(scope="module")
-def pinned_votes(benchmark_config, full_report, pinned_stages):
+def pinned_votes(benchmark_config, pinned_votes_by_index):
     """(model, votes) per pinned model, the votes `full_report` simulated."""
-    key = stage_keys(benchmark_config)["votes"]
     return [
         (generate_model(with_seed(benchmark_config.scan, model_seeds(benchmark_config, i)[0])),
-         pinned_stages[i][key])
-        for i in range(benchmark_config.n_models)
+         votes)
+        for i, votes in enumerate(pinned_votes_by_index)
     ]
 
 
