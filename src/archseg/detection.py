@@ -264,15 +264,23 @@ def pregroup_votes(votes: Votes, radius: float, min_size_frac: float = 0.25) -> 
     Greedy leader selection in index order, members assigned to the nearest
     leader; clusters smaller than min_size_frac of the largest are dropped
     (sparse clutter clusters do not survive).  Returns cluster mean positions.
+
+    A vote leads iff no earlier leader lies within `radius` of it, so the
+    loop runs over leaders: each leader's distances to every vote mark the
+    votes it covers, and the next leader is the first vote no leader covers
+    so far.  Those distances are also the columns the members' argmin reads.
     """
     pos = votes.position
-    leaders: list[int] = []
-    for i, p in enumerate(pos):
-        if not leaders or np.min(np.linalg.norm(pos[leaders] - p, axis=1)) > radius:
-            leaders.append(i)
-    d = np.linalg.norm(pos[:, None, :] - pos[leaders][None, :, :], axis=2)
-    member_of = np.argmin(d, axis=1)
-    sizes = np.bincount(member_of, minlength=len(leaders))
-    centers = np.stack([pos[member_of == k].mean(axis=0) for k in range(len(leaders))])
+    covered = np.zeros(len(pos), dtype=bool)
+    columns = []
+    leader = 0
+    while not covered[leader]:
+        d = np.linalg.norm(pos - pos[leader], axis=1)
+        columns.append(d)
+        covered |= d <= radius
+        leader = int(covered.argmin())  # every vote before it is covered
+    member_of = np.argmin(np.stack(columns, axis=1), axis=1)
+    sizes = np.bincount(member_of, minlength=len(columns))
+    centers = np.stack([pos[member_of == k].mean(axis=0) for k in range(len(columns))])
     keep = sizes >= min_size_frac * sizes.max()
     return centers[keep]

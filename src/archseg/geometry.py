@@ -105,17 +105,38 @@ def brute_force_k_nearest(points: np.ndarray, query, k: int):
     return idx, d[idx]
 
 
+# Points per block of the x-sorted FPS arrays; each block keeps the max of
+# its points' min_dist, so finding the next pick scans blocks, not points.
+FPS_BLOCK = 64
+# Absolute slack of the FPS window: it covers the underflow of a squared
+# coordinate difference when min_dist is tiny (near-duplicate points).
+_FPS_WINDOW_ABS = 2.0**-500
+
+
 def farthest_point_sampling(cloud: PointCloud, k: int, start_index: int = 0) -> np.ndarray:
     """Greedy max-min subsampling.
 
     output[0] = start_index; each subsequent pick maximizes its minimum
     distance to all previously chosen points, ties broken by lowest index.
 
-    Distances are computed over contiguous x, y, z columns as
+    Distances are computed from separate x, y, z rows as
     sqrt((x - xj)**2 + (y - yj)**2 + (z - zj)**2), summed in that order, so
     each is bitwise equal to ``np.linalg.norm(pts - pts[j], axis=1)``.  The
     selected indices therefore do not depend on the points' memory layout or
     on the BLAS kernel.
+
+    Window contract: the points are sorted by (x, index) once.  When pick j
+    is added, only the contiguous slice with |x - x_j| <= M * (1 + 1e-9) +
+    2**-500 is updated, where M is the current max of min_dist (the value
+    that chose j).  A point outside it is at least M from j: a computed
+    distance is not below |x - x_j| by more than that slack, whose absolute
+    part covers squared differences that underflow when points nearly
+    coincide.  So its min_dist cannot fall.  The bounds x_j -/+ width are
+    rounded, but rounding is monotone, so no sorted x inside the exact
+    window falls outside the searched slice.  Every min_dist is therefore
+    bitwise what a full pass computes, and the picks are the same.  Blocks
+    of FPS_BLOCK sorted points keep their max of min_dist; the next pick is
+    the lowest original index among the points at the overall max.
     """
     pts = cloud.points
     n = len(pts)
@@ -123,23 +144,43 @@ def farthest_point_sampling(cloud: PointCloud, k: int, start_index: int = 0) -> 
         raise ValueError(f"k={k} out of range for cloud of size {n}")
     if not 0 <= start_index < n:
         raise ValueError(f"start_index={start_index} out of range")
-    x, y, z = np.ascontiguousarray(pts.T)
-    dist = np.empty(n)
-    term = np.empty(n)
-    min_dist = np.full(n, np.inf)
+    order = np.argsort(pts[:, 0], kind="stable")  # by (x, index)
+    coords = np.ascontiguousarray(pts[order].T)  # sorted x, y, z rows
+    xs, x_list = coords[0], coords[0].tolist()
+    rank = np.empty(n, dtype=np.intp)
+    rank[order] = np.arange(n)
+    rank = rank.tolist()
+    n_blocks = -(-n // FPS_BLOCK)
+    pad = n_blocks * FPS_BLOCK - n
+    # min_dist and original indices in sorted order, padded to whole blocks
+    min_dist = np.concatenate([np.full(n, np.inf), np.full(pad, -np.inf)])
+    index = np.concatenate([order, np.full(pad, n)])
+    blocks = min_dist.reshape(n_blocks, FPS_BLOCK)
+    block_max = blocks.max(axis=1)
     selected = np.empty(k, dtype=np.intp)
     selected[0] = start_index
+    m = np.inf
     for i in range(1, k):
-        j = selected[i - 1]
-        np.subtract(x, x[j], out=dist)
-        np.multiply(dist, dist, out=dist)
-        for col in (y, z):
-            np.subtract(col, col[j], out=term)
-            np.multiply(term, term, out=term)
-            np.add(dist, term, out=dist)
-        np.sqrt(dist, out=dist)
-        np.minimum(min_dist, dist, out=min_dist)
-        selected[i] = np.argmax(min_dist)  # the first (lowest) index on ties
+        r = rank[selected[i - 1]]
+        width = m * (1 + 1e-9) + _FPS_WINDOW_ABS
+        lo = int(xs.searchsorted(x_list[r] - width, side="left"))
+        hi = int(xs.searchsorted(x_list[r] + width, side="right"))
+        t = coords[:, lo:hi] - coords[:, r : r + 1]
+        t *= t
+        d = t[0] + t[1]
+        d += t[2]
+        np.sqrt(d, out=d)
+        window = min_dist[lo:hi]
+        np.minimum(window, d, out=window)
+        b0, b1 = lo // FPS_BLOCK, -(-hi // FPS_BLOCK)
+        np.maximum.reduce(blocks[b0:b1], axis=1, out=block_max[b0:b1])
+        # Every block whose max is m lies in [b0, b1); the pick is the
+        # lowest original index among their points at m.
+        b0 = int(block_max.argmax())
+        b1 = n_blocks - int(block_max[::-1].argmax())
+        m = float(block_max[b0])
+        p0, p1 = b0 * FPS_BLOCK, b1 * FPS_BLOCK
+        selected[i] = index[p0:p1][min_dist[p0:p1] == m].min()
     return selected
 
 

@@ -20,6 +20,7 @@ import json
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
@@ -49,7 +50,14 @@ from .detection import (
     pregroup_votes,
     random_vote_sampling,
 )
-from .segmentation import SegParams, crop_patch, fuse_patches, iou_dice, segment_patch
+from .segmentation import (
+    SegParams,
+    crop_patch,
+    fuse_patches,
+    iou_dice,
+    neighbour_table,
+    segment_patch,
+)
 from .synthetic import (
     DentalModel,
     ScanConfig,
@@ -93,6 +101,21 @@ class ExperimentConfig:
             raise ValueError("vote_subsample must be >= 1")
         if self.pregroup_radius <= 0:
             raise ValueError("pregroup_radius must be positive")
+        n_points = self.scan.n_points
+        if self.vote_subsample > n_points:
+            raise ValueError(
+                f"vote_subsample {self.vote_subsample} exceeds scan.n_points {n_points}"
+            )
+        if self.with_segmentation and self.segmentation.patch_size > n_points:
+            raise ValueError(
+                f"segmentation.patch_size {self.segmentation.patch_size} exceeds "
+                f"scan.n_points {n_points}"
+            )
+        if self.scan.seed != ScanConfig.seed:
+            raise ValueError(
+                f"scan.seed {self.scan.seed} is not used: each model's scan seed "
+                "derives from the top-level 'seed'; set that instead"
+            )
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -263,8 +286,9 @@ def run_model(
     metrics["n_votes"] = len(votes)
 
     if config.with_segmentation:
+        table = neighbour_table(model.cloud.points)
         patches = [
-            crop_patch(model, c, config.segmentation) for c in pred_centroids
+            crop_patch(model, c, config.segmentation, table) for c in pred_centroids
         ]
         masks = [segment_patch(p, config.segmentation) for p in patches]
         fused = fuse_patches(model, patches, masks, config.segmentation)
@@ -368,33 +392,48 @@ def run_models(
     return _reduce(replace(config, n_models=len(models)), tasks, jobs)
 
 
+def _attempt(call, *args):
+    """(call(*args), None), or (None, the traceback) if it raised."""
+    try:
+        return call(*args), None
+    except Exception:
+        return None, traceback.format_exc()
+
+
+def _run_alone(task):
+    """_run_one(task) in a fresh single-worker pool."""
+    with ProcessPoolExecutor(max_workers=1) as pool:
+        return pool.submit(_run_one, task).result()
+
+
 def _reduce(config: ExperimentConfig, tasks, jobs: int) -> MetricsReport:
     """Execute tasks (serially or in a worker pool) and reduce in index order.
 
-    Per-model failures are recorded and the run continues.  A task's stored
-    stage entries (its last item) gain the outputs the task computed.
+    Per-model failures are recorded and the run continues.  A worker that
+    dies breaks the pool and fails every task still in it, so each task
+    that failed with BrokenProcessPool is rerun alone on a fresh pool: only
+    a model that crashes its worker again is recorded as failed.  A task's
+    stored stage entries (its last item) gain the outputs the task computed.
     """
     if jobs < 1:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     t0 = time.perf_counter()
-    per_model = []
-    failures = []
-    results = []
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [(i, pool.submit(_run_one, task)) for i, task in enumerate(tasks)]
-            for i, fut in futures:  # index order, independent of completion order
-                try:
-                    results.append((i, fut.result()))
-                except Exception:
-                    failures.append({"model": i, "error": traceback.format_exc()})
+            futures = [pool.submit(_run_one, task) for task in tasks]
+            outcomes = [_attempt(fut.result) for fut in futures]
+        for i, fut in enumerate(futures):
+            if isinstance(fut.exception(), BrokenProcessPool):
+                outcomes[i] = _attempt(_run_alone, tasks[i])
     else:
-        for i, task in enumerate(tasks):
-            try:
-                results.append((i, _run_one(task)))
-            except Exception:
-                failures.append({"model": i, "error": traceback.format_exc()})
-    for i, (metrics, computed) in results:
+        outcomes = [_attempt(_run_one, task) for task in tasks]
+    per_model = []
+    failures = []
+    for i, (result, error) in enumerate(outcomes):
+        if error is not None:
+            failures.append({"model": i, "error": error})
+            continue
+        metrics, computed = result
         if computed:
             tasks[i][4].update(computed)
         metrics = dict(metrics)

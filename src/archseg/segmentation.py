@@ -5,6 +5,11 @@ geodesic region-growing stand-in: a k-NN graph with long (gap-crossing)
 edges pruned, geodesic distances from the seed nearest the patch center, and
 an exponentially decaying probability in geodesic distance.  Patch masks are
 fused into a full-model instance labeling by per-point argmax.
+
+The k-NN graph of a patch is read from one per-model `NeighbourTable` where
+the table settles it, and from the patch's own k-d tree elsewhere; either
+way each patch point gets exactly the neighbours and edge lengths the patch
+tree alone would give it.
 """
 
 from __future__ import annotations
@@ -36,13 +41,36 @@ class SegParams:
             raise ValueError("geodesic radius, decay and accept_prob must be positive")
 
 
+# Entries per point of a NeighbourTable, the point itself included.
+TABLE_K = 12
+
+
+@dataclass(frozen=True)
+class NeighbourTable:
+    """The TABLE_K nearest points of every point of one cloud (itself
+    included), as cKDTree returns them, and the distance to the last one."""
+
+    indices: np.ndarray  # (N, TABLE_K) int32 cloud indices
+    reach: np.ndarray  # (N,) no point outside a row is nearer than this
+
+
+def neighbour_table(points) -> NeighbourTable:
+    """The NeighbourTable of an (N, 3) cloud."""
+    k = min(TABLE_K, len(points))
+    dist, idx = cKDTree(points).query(points, k=k)
+    idx = idx.reshape(len(points), k).astype(np.int32)
+    return NeighbourTable(indices=idx, reach=dist.reshape(len(points), k)[:, -1].copy())
+
+
 @dataclass(frozen=True)
 class Patch:
-    """The patch_size cloud points nearest a detected centroid."""
+    """The patch_size cloud points nearest a detected centroid; `table`, if
+    given, is the whole cloud's NeighbourTable (shared, not copied)."""
 
     center: np.ndarray
     point_indices: np.ndarray
     relative_coords: np.ndarray
+    table: NeighbourTable | None = None
 
 
 @dataclass(frozen=True)
@@ -59,17 +87,63 @@ class InstanceSegmentation:
     winning_prob: np.ndarray
 
 
-def crop_patch(model: DentalModel, center, params: SegParams = SegParams()) -> Patch:
-    """Crop the patch_size nearest points to `center`, ties broken by index."""
+def crop_patch(
+    model: DentalModel, center, params: SegParams = SegParams(), table=None
+) -> Patch:
+    """Crop the patch_size nearest points to `center`, ties broken by index.
+
+    `table` (the model's `neighbour_table`) is passed on to the patch."""
     pts = model.cloud.points
-    if len(pts) < params.patch_size:
-        raise ValueError(
-            f"cloud of {len(pts)} points is smaller than patch_size {params.patch_size}"
-        )
+    size = params.patch_size
+    if len(pts) < size:
+        raise ValueError(f"cloud of {len(pts)} points is smaller than patch_size {size}")
     c = np.asarray(center, dtype=np.float64).reshape(3)
     d = np.linalg.norm(pts - c, axis=1)
-    idx = np.lexsort((np.arange(len(pts)), d))[: params.patch_size]
-    return Patch(center=c, point_indices=idx, relative_coords=pts[idx] - c)
+    # every point within the size-th smallest distance, then (distance, index)
+    cand = np.flatnonzero(d <= np.partition(d, size - 1)[size - 1])
+    idx = cand[np.lexsort((cand, d[cand]))[:size]]
+    return Patch(center=c, point_indices=idx, relative_coords=pts[idx] - c, table=table)
+
+
+def _table_neighbours(patch: Patch, k: int):
+    """(settled, nn, dist): a mask of the rows whose k nearest other patch
+    points the table settles, and for those rows the points and distances
+    the patch's own cKDTree query returns (after its self-match).
+
+    A row is settled when its table row holds at least k other patch
+    points, the nearest of them is not at distance 0 (a duplicate point
+    could take the tree's self-match slot), the k-th is strictly nearer
+    than the (k+1)-th (no tie for the tree to break) and nearer than the
+    row's reach by a margin that covers the rounding between absolute and
+    patch-relative coordinates (no patch point outside the row can be
+    nearer).  Distances are recomputed from the patch-relative x, y, z as
+    sqrt((dx*dx + dy*dy) + dz*dz), bitwise the tree's.
+    """
+    pts = patch.relative_coords
+    n = len(pts)
+    table = patch.table
+    if table is None or not 0 < k < TABLE_K:
+        return np.zeros(n, dtype=bool), np.empty((0, k), dtype=np.intp), np.empty((0, k))
+    idx = patch.point_indices
+    local = np.full(len(table.reach), -1, dtype=np.intp)
+    local[idx] = np.arange(n)
+    cand = np.take(local, table.indices[idx])  # (n, TABLE_K); -1 off-patch
+    x, y, z = (np.ascontiguousarray(col) for col in pts.T)
+    dx = np.take(x, cand) - x[:, None]
+    dy = np.take(y, cand) - y[:, None]
+    dz = np.take(z, cand) - z[:, None]
+    r = np.sqrt((dx * dx + dy * dy) + dz * dz)
+    r[(cand < 0) | (cand == np.arange(n)[:, None])] = np.inf
+    rs = np.sort(r, axis=1)
+    margin = 1e-9 * (np.abs(patch.center).max() + np.abs(pts).max())
+    settled = (
+        (rs[:, 0] > 0)
+        & (rs[:, k - 1] < rs[:, k])
+        & (rs[:, k - 1] < table.reach[idx] - margin)
+    )
+    # a settled row has exactly k entries up to its k-th distance
+    sel = (r <= rs[:, k - 1, None]) & settled[:, None]
+    return settled, cand[sel].reshape(-1, k), r[sel].reshape(-1, k)
 
 
 def segment_patch(patch: Patch, params: SegParams = SegParams()) -> PatchMask:
@@ -79,13 +153,22 @@ def segment_patch(patch: Patch, params: SegParams = SegParams()) -> PatchMask:
     which cuts the graph across the tooth/gingiva and tooth/tooth gaps;
     probability decays exponentially in geodesic distance beyond the local
     seed neighborhood radius, and is 0 outside max_geodesic_radius.
+
+    Each point's k nearest other patch points are those of the patch's own
+    cKDTree query.  Rows the patch's table settles (`_table_neighbours`)
+    are read from it; every other row, and every row of a patch without a
+    table, queries the patch tree.  The mask is the same either way.
     """
     pts = patch.relative_coords
     n = len(pts)
     k = min(params.knn_graph_k, n - 1)
-    tree = cKDTree(pts)
-    dist, nn = tree.query(pts, k=k + 1)
-    dist, nn = dist[:, 1:], nn[:, 1:]  # drop the self-match
+    dist = np.empty((n, k))
+    nn = np.empty((n, k), dtype=np.intp)
+    settled, table_nn, table_dist = _table_neighbours(patch, k)
+    nn[settled], dist[settled] = table_nn, table_dist
+    rest = np.flatnonzero(~settled)
+    d, j = cKDTree(pts).query(pts[rest], k=k + 1)
+    dist[rest], nn[rest] = d[:, 1:], j[:, 1:]  # drop the self-match
     rows = np.repeat(np.arange(n), k)
     cols = nn.ravel()
     lengths = dist.ravel()

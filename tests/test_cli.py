@@ -144,6 +144,31 @@ class TestRun:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and key in err[0]
 
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            pytest.param(
+                {"scan": {"n_points": 1500}, "vote_subsample": 2048},
+                "vote_subsample 2048 exceeds scan.n_points 1500", id="vote_subsample",
+            ),
+            pytest.param(
+                {"scan": {"n_points": 1500}, "vote_subsample": 1024,
+                 "segmentation": {"patch_size": 4096}},
+                "segmentation.patch_size 4096 exceeds scan.n_points 1500", id="patch_size",
+            ),
+            pytest.param(
+                dict(TINY_CONFIG, scan={"n_points": 2000, "n_teeth": 8, "seed": 12345}),
+                "top-level 'seed'", id="scan_seed",
+            ),
+        ],
+    )
+    def test_cross_field_config_exit_2(self, tmp_path, capsys, config, message):
+        bad = tmp_path / "cross.json"
+        bad.write_text(json.dumps(dict(config, n_models=1)))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and message in err[0]
+
     @pytest.mark.parametrize("section", ["noise", "scan"])
     def test_non_object_config_section_exit_2(self, tmp_path, capsys, section):
         config = dict(TINY_CONFIG, n_models=1, vote_subsample=256)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from archseg.arch import sample_arch_from_bezier
 from archseg.bezier import BezierCurve
@@ -284,3 +286,55 @@ class TestPregroup:
         vts = votes_at(np.concatenate([big, stray]))
         centers = pregroup_votes(vts, radius=0.2, min_size_frac=0.25)
         assert len(centers) == 1
+
+
+def pregroup_votes_reference(votes, radius, min_size_frac=0.25):
+    """The vote-by-vote leader loop `pregroup_votes` replaced: the oracle it
+    must match bit for bit."""
+    pos = votes.position
+    leaders = []
+    for i, p in enumerate(pos):
+        if not leaders or np.min(np.linalg.norm(pos[leaders] - p, axis=1)) > radius:
+            leaders.append(i)
+    d = np.linalg.norm(pos[:, None, :] - pos[leaders][None, :, :], axis=2)
+    member_of = np.argmin(d, axis=1)
+    sizes = np.bincount(member_of, minlength=len(leaders))
+    centers = np.stack([pos[member_of == k].mean(axis=0) for k in range(len(leaders))])
+    keep = sizes >= min_size_frac * sizes.max()
+    return centers[keep]
+
+
+def assert_pregroup_matches_reference(votes, radius, min_size_frac):
+    got = pregroup_votes(votes, radius, min_size_frac)
+    want = pregroup_votes_reference(votes, radius, min_size_frac)
+    assert got.shape == want.shape and np.array_equal(got, want)
+
+
+@st.composite
+def radius_clouds(draw):
+    """Votes on a grid of step `radius`, so many lie exactly at `radius`
+    from a leader (covered, since coverage is `<= radius`)."""
+    radius = draw(st.sampled_from([0.08, 0.1, 0.25, 1.0]))
+    sites = draw(hnp.arrays(
+        np.int64, (draw(st.integers(1, 80)), 3), elements=st.integers(-4, 4),
+    ))
+    return votes_at(radius * sites), radius, draw(st.sampled_from([0.0, 0.1, 0.5]))
+
+
+class TestPregroupEquivalence:
+    def test_pinned_votes_match_reference(self, benchmark_config, pinned_votes_by_index):
+        for votes in pinned_votes_by_index:
+            assert_pregroup_matches_reference(
+                votes, benchmark_config.pregroup_radius,
+                benchmark_config.pregroup_min_size_frac,
+            )
+
+    @given(radius_clouds())
+    @settings(max_examples=200, deadline=None)
+    def test_votes_at_radius_match_reference(self, case):
+        votes, radius, min_size_frac = case
+        assert_pregroup_matches_reference(votes, radius, min_size_frac)
+
+    def test_exact_radius_is_covered(self):
+        votes = votes_at([[0.0, 0, 0], [0.5, 0, 0], [1.0, 0, 0]])
+        assert len(pregroup_votes(votes, 0.5, 0.0)) == 2

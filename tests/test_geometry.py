@@ -3,7 +3,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
+from archseg import io as aio
 from archseg.geometry import (
+    FPS_BLOCK,
     DegenerateCloudError,
     PointCloud,
     SpatialIndex,
@@ -176,6 +178,50 @@ class TestFPSEquivalence:
             farthest_point_sampling, args=(pinned_scan_0, k), rounds=3, iterations=1
         )
         assert len(sel) == k
+
+
+class TestFPSWindow:
+    """The x-sorted window and block maxima pick what a full pass picks."""
+
+    @pytest.mark.parametrize("n", [1, 2, FPS_BLOCK - 1, FPS_BLOCK, FPS_BLOCK + 1, 300])
+    def test_every_point_in_order(self, n):
+        rng = np.random.default_rng(n)
+        assert_matches_reference(rng.normal(size=(n, 3)), n, int(rng.integers(n)))
+
+    def test_all_x_equal(self):
+        rng = np.random.default_rng(1)
+        pts = rng.normal(size=(200, 3))
+        pts[:, 0] = 0.5
+        assert_matches_reference(pts, 200, 7)
+
+    @pytest.mark.parametrize("x0", [1.0, 0.5, -3.0])
+    def test_near_duplicates_below_ulp_of_x(self, x0):
+        """Clusters whose spread (1e-20) is far below the ulp of x, with x
+        one ulp apart, so late steps have M below that ulp."""
+        rng = np.random.default_rng(2)
+        sites = rng.normal(size=(5, 3))
+        sites[:, 0] = x0 + np.arange(5) * np.spacing(x0)
+        pts = sites[rng.integers(5, size=150)]
+        pts[:, 1:] += 1e-20 * rng.normal(size=(150, 2))
+        assert_matches_reference(pts, 150, 0)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_subnormal_squares(self, seed):
+        """Spacing about 1e-160, so squared differences are subnormal and
+        computed distances carry their rounding."""
+        rng = np.random.default_rng(seed)
+        pts = 1e-160 * rng.integers(0, 4, size=(150, 3)) * rng.uniform(1, 1.01, size=(150, 3))
+        assert_matches_reference(pts, 150, int(rng.integers(150)))
+
+    def test_ply_loaded_scan(self, tmp_path, benchmark_config):
+        scan_seed, _ = model_seeds(benchmark_config, 1)
+        model = generate_model(with_seed(benchmark_config.scan, scan_seed))
+        aio.save_model(model, tmp_path / "m.ply", tmp_path / "m.json")
+        cloud = aio.load_model(tmp_path / "m.ply", tmp_path / "m.json").cloud
+        k = benchmark_config.vote_subsample
+        got = farthest_point_sampling(cloud, k)
+        assert np.array_equal(got, greedy_fps_reference(cloud, k))
+        assert np.array_equal(got, farthest_point_sampling(model.cloud, k))
 
 
 def brute_chamfer(a, b):

@@ -1,9 +1,12 @@
 import dataclasses
 import json
+import multiprocessing
+import os
 
 import numpy as np
 import pytest
 
+from archseg import pipeline
 from archseg.pipeline import (
     STAGE_FIELDS,
     ExperimentConfig,
@@ -17,6 +20,7 @@ from archseg.pipeline import (
     save_config,
     stage_keys,
 )
+from archseg.segmentation import SegParams
 from archseg.synthetic import ScanConfig, VoteNoiseModel, generate_model, with_seed
 
 TINY = ExperimentConfig(
@@ -27,6 +31,16 @@ TINY = ExperimentConfig(
         ExperimentConfig().segmentation, patch_size=512, prob_decay=2.0
     ),
 )
+
+
+RUN_ONE = pipeline._run_one
+
+
+def crash_on_model_1(task):
+    """`_run_one`, except that model 1 kills its worker process."""
+    if task[1] == 1:
+        os._exit(1)
+    return RUN_ONE(task)
 
 
 @pytest.fixture(scope="module")
@@ -48,6 +62,28 @@ class TestConfig:
             ExperimentConfig(arch_mode="fine")
         with pytest.raises(ValueError):
             ExperimentConfig(sampling_method="knn")
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"vote_subsample": 2001}, "vote_subsample 2001 exceeds scan.n_points 2000"),
+            (
+                {"segmentation": SegParams(patch_size=2001)},
+                "segmentation.patch_size 2001 exceeds scan.n_points 2000",
+            ),
+            ({"scan": ScanConfig(n_points=2000, n_teeth=8, seed=3)}, "top-level 'seed'"),
+        ],
+    )
+    def test_cross_field_checks(self, fields, message):
+        with pytest.raises(ValueError, match=message):
+            dataclasses.replace(TINY, **fields)
+
+    def test_patch_size_unchecked_without_segmentation(self):
+        cfg = dataclasses.replace(
+            TINY, with_segmentation=False, segmentation=SegParams(patch_size=4096)
+        )
+        assert cfg.segmentation.patch_size > cfg.scan.n_points
+        assert dataclasses.replace(TINY, vote_subsample=2000).vote_subsample == 2000
 
     def test_partial_dict_uses_defaults(self):
         cfg = ExperimentConfig.from_dict({"n_models": 2})
@@ -111,11 +147,31 @@ class TestRunDataset:
             assert val == pytest.approx(np.mean(vals), abs=1e-12)
 
     def test_failure_recorded_run_continues(self):
-        # vote_subsample larger than the cloud makes every model fail
-        bad = dataclasses.replace(TINY, vote_subsample=5000, n_models=2)
+        # more APS samples than any model has votes makes every model fail
+        bad = dataclasses.replace(
+            TINY, sampling=dataclasses.replace(TINY.sampling, n_samples=600), n_models=2
+        )
         rep = run_dataset(bad)
         assert len(rep.failures) == 2
         assert rep.per_model == []
+
+    @pytest.mark.skipif(
+        multiprocessing.get_start_method() != "fork",
+        reason="the crashing task is patched into forked workers",
+    )
+    def test_crashing_worker_fails_only_its_model(self, monkeypatch):
+        """A worker that dies breaks the pool for every model in it; each is
+        rerun alone, and only the model that crashes again is a failure."""
+        cfg = dataclasses.replace(TINY, n_models=6, with_segmentation=False)
+        monkeypatch.setattr(pipeline, "_run_one", crash_on_model_1)
+        report = run_dataset(cfg, jobs=2)
+        monkeypatch.undo()
+        assert [f["model"] for f in report.failures] == [1]
+        assert "BrokenProcessPool" in report.failures[0]["error"]
+        serial = run_dataset(cfg)
+        assert without_seconds(report) == [
+            m for m in without_seconds(serial) if m["model"] != 1
+        ]
 
     def test_sampling_isolation(self):
         cfg = dataclasses.replace(TINY, with_segmentation=False)

@@ -1,15 +1,27 @@
+import types
+import warnings
+
 import numpy as np
 import pytest
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import dijkstra
+from scipy.spatial import cKDTree
 
-from archseg.geometry import SpatialIndex, k_nearest
+from archseg.geometry import PointCloud, SpatialIndex, k_nearest
+from archseg.pipeline import model_seeds
 from archseg.segmentation import (
+    TABLE_K,
+    Patch,
+    PatchMask,
     SegParams,
+    _table_neighbours,
     crop_patch,
     fuse_patches,
     iou_dice,
+    neighbour_table,
     segment_patch,
 )
-from archseg.synthetic import ScanConfig, generate_model
+from archseg.synthetic import ScanConfig, generate_model, with_seed
 
 
 @pytest.fixture(scope="module")
@@ -193,3 +205,127 @@ class TestIoUDice:
         gt = np.array([1] * 10 + [2] * 10)
         r = iou_dice(np.zeros(20, dtype=int), gt)
         assert r["mean_iou"] == 0.0 and r["mean_dice"] == 0.0
+
+
+def crop_patch_reference(model, center, params):
+    """The full-lexsort crop `crop_patch` replaced."""
+    pts = model.cloud.points
+    c = np.asarray(center, dtype=np.float64).reshape(3)
+    d = np.linalg.norm(pts - c, axis=1)
+    idx = np.lexsort((np.arange(len(pts)), d))[: params.patch_size]
+    return Patch(center=c, point_indices=idx, relative_coords=pts[idx] - c)
+
+
+def segment_patch_reference(patch, params):
+    """The per-patch-tree `segment_patch` the table replaced (its warning
+    dropped): the oracle masks must match bit for bit."""
+    pts = patch.relative_coords
+    n = len(pts)
+    k = min(params.knn_graph_k, n - 1)
+    dist, nn = cKDTree(pts).query(pts, k=k + 1)
+    dist, nn = dist[:, 1:], nn[:, 1:]
+    rows = np.repeat(np.arange(n), k)
+    cols = nn.ravel()
+    lengths = dist.ravel()
+    keep = lengths <= 2.0 * np.median(lengths)
+    graph = csr_matrix((lengths[keep], (rows[keep], cols[keep])), shape=(n, n))
+    graph = graph.maximum(graph.T)
+    seed = int(np.argmin(np.linalg.norm(pts, axis=1)))
+    g = dijkstra(graph, directed=False, indices=seed, limit=params.max_geodesic_radius)
+    reachable = np.isfinite(g)
+    probs = np.zeros(n)
+    if reachable.sum() <= 1:
+        probs[seed] = 1.0
+        return PatchMask(probabilities=probs, degenerate=True)
+    n_core = max(1, int(round(0.05 * n)))
+    r0 = float(np.median(np.sort(g[reachable])[:n_core]))
+    probs[reachable] = np.exp(-params.prob_decay * np.maximum(0.0, g[reachable] - r0))
+    return PatchMask(probabilities=probs)
+
+
+def assert_patches_match_reference(model, centers, params, untabled=True):
+    """Each centre's patch and mask, with the model's table, without one
+    (if `untabled`) and by the reference, are bitwise equal; returns the
+    settled-row count and the row count."""
+    table = neighbour_table(model.cloud.points)
+    settled = rows = 0
+    for center in centers:
+        patch = crop_patch(model, center, params, table)
+        want = crop_patch_reference(model, center, params)
+        assert np.array_equal(patch.point_indices, want.point_indices)
+        assert np.array_equal(patch.relative_coords, want.relative_coords)
+        patches = [patch]
+        if untabled:
+            patches.append(Patch(patch.center, patch.point_indices, patch.relative_coords))
+        with warnings.catch_warnings():  # degenerate patches warn
+            warnings.simplefilter("ignore")
+            masks = [segment_patch(p, params) for p in patches]
+        ref = segment_patch_reference(want, params)
+        for mask in masks:
+            assert mask.degenerate == ref.degenerate
+            assert np.array_equal(mask.probabilities, ref.probabilities)
+        # the settled rows hold the neighbours the patch tree gives them
+        k = min(params.knn_graph_k, len(patch.point_indices) - 1)
+        rows_settled, nn, dist = _table_neighbours(patch, k)
+        tree_dist, tree_nn = cKDTree(want.relative_coords).query(
+            want.relative_coords[rows_settled], k=k + 1
+        )
+        assert np.array_equal(np.sort(nn, axis=1), np.sort(tree_nn[:, 1:], axis=1))
+        assert np.array_equal(np.sort(dist, axis=1), tree_dist[:, 1:])
+        settled += int(rows_settled.sum())
+        rows += len(patch.point_indices)
+    return settled, rows
+
+
+def extreme_x_point(model):
+    """The cloud's max-x point: a patch there has the most rows whose
+    table entries leave the patch, so the most patch-tree rows."""
+    return model.cloud.points[np.argmax(model.cloud.points[:, 0])]
+
+
+class TestPatchEquivalence:
+    def test_pinned_scans_match_reference(self, benchmark_config):
+        """Every pinned scan: patches at three ground-truth centroids and at
+        the extreme-x point."""
+        settled = rows = 0
+        for i in range(benchmark_config.n_models):
+            model = generate_model(
+                with_seed(benchmark_config.scan, model_seeds(benchmark_config, i)[0])
+            )
+            picks = model.centroids[[0, model.n_teeth // 2, -1]]
+            s, r = assert_patches_match_reference(
+                model, [*picks, extreme_x_point(model)], benchmark_config.segmentation,
+                untabled=False,
+            )
+            settled, rows = settled + s, rows + r
+        assert 0.9 < settled / rows < 1.0  # both paths run
+
+    def test_extreme_x_patch_falls_back(self, model, params):
+        settled, rows = assert_patches_match_reference(model, [extreme_x_point(model)], params)
+        assert 0 < settled < rows
+
+    def test_grid_ties_and_duplicates(self):
+        """A regular grid ties neighbour distances at every rank, and
+        repeated points sit at distance 0: such rows must go to the tree."""
+        axes = [np.arange(14) * 0.05, np.arange(14) * 0.05, np.arange(6) * 0.05]
+        grid = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+        pts = np.concatenate([grid, grid[::37]])
+        model = types.SimpleNamespace(cloud=PointCloud(pts))
+        params = SegParams(patch_size=400, max_geodesic_radius=0.3)
+        settled, rows = assert_patches_match_reference(
+            model, [[0.3, 0.3, 0.1], [0.0, 0.0, 0.0], [0.33, 0.31, 0.12]], params
+        )
+        assert 0 < settled < rows
+
+    def test_knn_graph_k_beyond_table(self, model):
+        """With k >= TABLE_K no row is settled and the tree does it all."""
+        params = SegParams(patch_size=512, knn_graph_k=TABLE_K, prob_decay=2.0)
+        settled, _ = assert_patches_match_reference(model, [model.centroids[1]], params)
+        assert settled == 0
+
+    def test_table_is_the_cloud_knn(self, model):
+        table = neighbour_table(model.cloud.points)
+        dist, idx = cKDTree(model.cloud.points).query(model.cloud.points, k=TABLE_K)
+        assert table.indices.dtype == np.int32
+        assert np.array_equal(table.indices, idx)
+        assert np.array_equal(table.reach, dist[:, -1])
