@@ -7,7 +7,8 @@ run_dataset generates the models, runs the pipeline per model, and reduces
 per-model metrics into a MetricsReport with exact-mean aggregates.
 
 run_model runs named stages in order: votes -> arch (pregroup -> bezier ->
-refine) -> select -> proposals, then NMS, metrics and segmentation.  Each
+refine) -> select -> proposals, then NMS and metrics, then per retained
+centroid a segment stage that reads the model's neighbour table.  Each
 stage reads its upstream outputs and only the config fields STAGE_FIELDS
 lists for it, so a caller that runs several configs over the same models
 can pass `stages` and have every config reuse the outputs whose config
@@ -16,6 +17,7 @@ slice it shares (as the ablation commands do).
 
 from __future__ import annotations
 
+import functools
 import json
 import time
 import traceback
@@ -51,6 +53,8 @@ from .detection import (
     random_vote_sampling,
 )
 from .segmentation import (
+    Patch,
+    PatchMask,
     SegParams,
     crop_patch,
     fuse_patches,
@@ -106,6 +110,11 @@ class ExperimentConfig:
             raise ValueError(
                 f"vote_subsample {self.vote_subsample} exceeds scan.n_points {n_points}"
             )
+        if self.sampling.n_samples > self.vote_subsample:
+            raise ValueError(
+                f"sampling.n_samples {self.sampling.n_samples} exceeds "
+                f"vote_subsample {self.vote_subsample}"
+            )
         if self.with_segmentation and self.segmentation.patch_size > n_points:
             raise ValueError(
                 f"segmentation.patch_size {self.segmentation.patch_size} exceeds "
@@ -159,39 +168,58 @@ def model_seeds(config: ExperimentConfig, index: int) -> tuple[int, int]:
     return base + index, base + 500_000 + index
 
 
-# Per stage, in pipeline order, the config fields it reads ("a.b" is field b
-# of section a).  A stored stage output is keyed by the values of its own
-# fields and of every upstream stage's (`stage_keys`).
+# Per stage, in pipeline order: its name, the stage whose key it extends
+# and the config fields it reads ("a.b" is field b of section a).  A stored
+# stage output is keyed by the values of its own fields and of every stage
+# it extends (`stage_keys`).  "table" reads only the fields that make the
+# model; "votes" does not read noise.seed, which `run_model` replaces with
+# the model's vote seed; a "segment" output is stored per retained centroid.
 STAGE_FIELDS = (
-    ("votes", ("scan", "seed", "vote_subsample", "noise")),
-    ("pregroup", ("pregroup_radius", "pregroup_min_size_frac")),
-    ("bezier", ()),
-    ("refine", ("refine",)),
-    ("select", ("arch_mode", "sampling_method", "sampling")),
-    ("proposals", ("detection.grouping_radius",)),
+    ("table", None, ("scan", "seed")),
+    ("votes", "table", (
+        "vote_subsample",
+        "noise.tooth_vote_sigma",
+        "noise.gingiva_vote_mode",
+        "noise.clutter_fraction",
+        "noise.clutter_sigma",
+    )),
+    ("pregroup", "votes", ("pregroup_radius", "pregroup_min_size_frac")),
+    ("bezier", "pregroup", ()),
+    ("refine", "bezier", ("refine",)),
+    ("select", "refine", ("arch_mode", "sampling_method", "sampling")),
+    ("proposals", "select", ("detection.grouping_radius",)),
+    ("segment", "table", (
+        "segmentation.patch_size",
+        "segmentation.knn_graph_k",
+        "segmentation.max_geodesic_radius",
+        "segmentation.prob_decay",
+    )),
 )
 
 
 def stage_keys(config: ExperimentConfig) -> dict:
     """Stage name -> the JSON text of the config slice its output depends on."""
     d = config.to_dict()
-    keys, upstream = {}, {}
-    for name, names in STAGE_FIELDS:
+    keys, slices = {}, {None: {}}
+    for name, extends, names in STAGE_FIELDS:
+        fields = dict(slices[extends])
         for path in names:
             value = d
             for part in path.split("."):
                 value = value[part]
-            upstream[path] = value
-        keys[name] = json.dumps([name, upstream], sort_keys=True)
+            fields[path] = value
+        slices[name] = fields
+        keys[name] = json.dumps([name, fields], sort_keys=True)
     return keys
 
 
-def _stage(stages, keys, name, compute):
-    """compute(), or the output `stages` holds under `keys[name]`; a computed
-    output is added to `stages`.  `stages` None computes and stores nothing."""
+def _stage(stages, keys, name, compute, item=None):
+    """compute(), or the output `stages` holds under `keys[name]` (under
+    `(keys[name], item)` when `item` is given); a computed output is added
+    to `stages`.  `stages` None computes and stores nothing."""
     if stages is None:
         return compute()
-    key = keys[name]
+    key = keys[name] if item is None else (keys[name], item)
     if key not in stages:
         stages[key] = compute()
     return stages[key]
@@ -231,6 +259,22 @@ def select_votes(votes, arch: ArchPolyline, config: ExperimentConfig, seed: int)
     return random_vote_sampling(votes, config.sampling.n_samples, seed)
 
 
+def positive_part(patch: Patch, mask: PatchMask) -> tuple[Patch, PatchMask]:
+    """The patch and mask restricted to the points with probability > 0, and
+    the patch without its table.  A point at probability 0 never wins in
+    `fuse_patches`, so fusing these gives the labels the full ones give."""
+    keep = mask.probabilities > 0
+    return (
+        replace(
+            patch,
+            point_indices=patch.point_indices[keep],
+            relative_coords=patch.relative_coords[keep],
+            table=None,
+        ),
+        replace(mask, probabilities=mask.probabilities[keep]),
+    )
+
+
 def run_model(
     model: DentalModel,
     config: ExperimentConfig,
@@ -247,6 +291,9 @@ def run_model(
     `stages`, if given, is this model's dict of stage outputs from earlier
     calls with the same model and vote seed: each stage whose `stage_keys`
     entry it holds is reused, and each stage computed here is added to it.
+    Segment outputs are keyed by the segment key and the retained
+    centroid's float64 bytes, so only centroids no earlier call segmented
+    are cropped and segmented here.
     """
     t0 = time.perf_counter()
     keys = None if stages is None else stage_keys(config)
@@ -286,12 +333,23 @@ def run_model(
     metrics["n_votes"] = len(votes)
 
     if config.with_segmentation:
-        table = neighbour_table(model.cloud.points)
-        patches = [
-            crop_patch(model, c, config.segmentation, table) for c in pred_centroids
+        params = config.segmentation
+        # built at most once, and only if some centroid is not stored
+        table = functools.cache(lambda: _stage(
+            stages, keys, "table", lambda: neighbour_table(model.cloud.points)
+        ))
+
+        def segment(c):
+            patch = crop_patch(model, c, params, table())
+            return positive_part(patch, segment_patch(patch, params))
+
+        parts = [
+            _stage(stages, keys, "segment", lambda c=c: segment(c), c.tobytes())
+            for c in pred_centroids
         ]
-        masks = [segment_patch(p, config.segmentation) for p in patches]
-        fused = fuse_patches(model, patches, masks, config.segmentation)
+        fused = fuse_patches(
+            model, [p for p, _ in parts], [m for _, m in parts], params
+        )
         seg = iou_dice(fused.labels, model.labels)
         metrics["mean_iou"] = seg["mean_iou"]
         metrics["mean_dice"] = seg["mean_dice"]

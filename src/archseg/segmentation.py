@@ -35,8 +35,12 @@ class SegParams:
     accept_prob: float = 0.5
 
     def __post_init__(self):
-        if min(self.patch_size, self.knn_graph_k) < 1:
-            raise ValueError("patch_size and knn_graph_k must be positive")
+        if self.patch_size < 2:
+            raise ValueError(
+                f"patch_size must be >= 2 (a point and a neighbour), got {self.patch_size}"
+            )
+        if self.knn_graph_k < 1:
+            raise ValueError("knn_graph_k must be positive")
         if min(self.max_geodesic_radius, self.prob_decay, self.accept_prob) <= 0:
             raise ValueError("geodesic radius, decay and accept_prob must be positive")
 

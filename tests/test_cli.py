@@ -6,6 +6,8 @@ import pytest
 from archseg import cli, pipeline
 from archseg import io as aio
 from archseg.cli import main, render_table
+from archseg.segmentation import crop_patch, fuse_patches, neighbour_table, segment_patch
+from archseg.synthetic import generate_model, with_seed
 
 TINY_CONFIG = {
     "n_models": 2,
@@ -160,6 +162,14 @@ class TestRun:
                 dict(TINY_CONFIG, scan={"n_points": 2000, "n_teeth": 8, "seed": 12345}),
                 "top-level 'seed'", id="scan_seed",
             ),
+            pytest.param(
+                dict(TINY_CONFIG, sampling={"n_samples": 600}),
+                "sampling.n_samples 600 exceeds vote_subsample 512", id="n_samples",
+            ),
+            pytest.param(
+                dict(TINY_CONFIG, segmentation={"patch_size": 1}),
+                "patch_size must be >= 2", id="patch_size_1",
+            ),
         ],
     )
     def test_cross_field_config_exit_2(self, tmp_path, capsys, config, message):
@@ -298,6 +308,67 @@ class TestSharedStages:
         monkeypatch.setattr(pipeline, "simulate_votes", counted)
         assert main(["ablate-sampling", "--config", str(config_path)]) == 0
         assert len(calls) == TINY_CONFIG["n_models"]
+
+    def test_neighbour_table_built_once_per_model(self, config_path, monkeypatch):
+        tables = []
+        build = pipeline.neighbour_table
+
+        def counted(points):
+            tables.append(points)
+            return build(points)
+
+        monkeypatch.setattr(pipeline, "neighbour_table", counted)
+        assert main(["ablate-sampling", "--config", str(config_path)]) == 0
+        assert len(tables) == TINY_CONFIG["n_models"]
+
+    def test_patch_segmented_once_per_model_and_centroid(
+        self, config_path, recorded, monkeypatch
+    ):
+        """The shared run crops and segments each (model, centroid) the
+        variants retain exactly once; run alone, the variants repeat some."""
+        crops, segments = [], []
+        crop, segment = pipeline.crop_patch, pipeline.segment_patch
+
+        def cropped(model, center, *args):
+            crops.append((model.cloud.points.tobytes(), np.asarray(center).tobytes()))
+            return crop(model, center, *args)
+
+        def segmented(*args):
+            segments.append(args)
+            return segment(*args)
+
+        monkeypatch.setattr(pipeline, "crop_patch", cropped)
+        monkeypatch.setattr(pipeline, "segment_patch", segmented)
+        assert main(["ablate-sampling", "--config", str(config_path)]) == 0
+        shared, n_segmented = list(crops), len(segments)
+        crops.clear()
+        for _, (config,), _, _ in recorded:
+            pipeline.run_dataset(config)
+        assert n_segmented == len(shared) == len(set(shared))
+        assert set(shared) == set(crops)
+        assert len(shared) < len(crops)
+
+    def test_positive_part_fuses_like_full_masks(self, benchmark_config):
+        """Fusing only each mask's points with probability > 0 gives the
+        labels and winning probabilities the full masks give (pinned models
+        0-4, a patch at every ground-truth centroid)."""
+        params = benchmark_config.segmentation
+        for i in range(5):
+            scan_seed, _ = pipeline.model_seeds(benchmark_config, i)
+            model = generate_model(with_seed(benchmark_config.scan, scan_seed))
+            table = neighbour_table(model.cloud.points)
+            patches = [crop_patch(model, c, params, table) for c in model.centroids]
+            masks = [segment_patch(p, params) for p in patches]
+            parts = [pipeline.positive_part(p, m) for p, m in zip(patches, masks)]
+            assert sum(len(m.probabilities) for _, m in parts) < sum(
+                len(m.probabilities) for m in masks
+            )
+            full = fuse_patches(model, patches, masks, params)
+            compact = fuse_patches(
+                model, [p for p, _ in parts], [m for _, m in parts], params
+            )
+            np.testing.assert_array_equal(compact.labels, full.labels)
+            np.testing.assert_array_equal(compact.winning_prob, full.winning_prob)
 
 
 class TestEvalAndReport:

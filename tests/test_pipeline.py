@@ -72,6 +72,10 @@ class TestConfig:
                 "segmentation.patch_size 2001 exceeds scan.n_points 2000",
             ),
             ({"scan": ScanConfig(n_points=2000, n_teeth=8, seed=3)}, "top-level 'seed'"),
+            (
+                {"sampling": dataclasses.replace(TINY.sampling, n_samples=513)},
+                "sampling.n_samples 513 exceeds vote_subsample 512",
+            ),
         ],
     )
     def test_cross_field_checks(self, fields, message):
@@ -149,7 +153,7 @@ class TestRunDataset:
     def test_failure_recorded_run_continues(self):
         # more APS samples than any model has votes makes every model fail
         bad = dataclasses.replace(
-            TINY, sampling=dataclasses.replace(TINY.sampling, n_samples=600), n_models=2
+            TINY, sampling=dataclasses.replace(TINY.sampling, n_samples=300), n_models=2
         )
         rep = run_dataset(bad)
         assert len(rep.failures) == 2
@@ -229,20 +233,48 @@ def leaf_fields(config):
             yield f.name
 
 
+def covers(names, path):
+    """Whether `names` holds the field at `path` or its whole section."""
+    return any(path == name or path.startswith(name + ".") for name in names)
+
+
 def is_keyed(path):
     """Whether STAGE_FIELDS names the field or its whole section."""
-    return any(
-        path == name or path.startswith(name + ".")
-        for _, names in STAGE_FIELDS for name in names
-    )
+    return covers([name for _, _, names in STAGE_FIELDS for name in names], path)
+
+
+def stage_name(key):
+    """The stage a stored key belongs to; a segment key is (key, centroid)."""
+    return json.loads(key if isinstance(key, str) else key[0])[0]
+
+
+# The changed value of a field, where `with_leaf_changed`'s default is
+# invalid, undefined for its type, or leaves SEGMENTED's output unchanged.
+CHANGED_VALUES = {
+    "scan.n_points": 1500,
+    "scan.n_teeth": 9,
+    "scan.arch_control": 1.1 * ScanConfig().arch_control,
+    "scan.tooth_radius_range": (0.04, 0.05),
+    "scan.missing_tooth_prob": 0.3,
+    "scan.crowding_jitter": 0.02,
+    "scan.misalignment_angle_max": 0.3,
+    "noise.gingiva_vote_mode": "suppressed",
+    "arch_mode": "coarse",
+    "sampling_method": "fps",
+    "segmentation.prob_decay": 8.0,
+}
 
 
 def with_leaf_changed(config, path):
-    """config with the one leaf field at `path` set to another valid value."""
+    """config with the one leaf field at `path` set to another valid value:
+    its CHANGED_VALUES entry, else a quarter of a number (an int to
+    `value // 4`, or `value + 1` when that is 0) or a flipped bool."""
     *section, name = path.split(".")
     owner = getattr(config, section[0]) if section else config
     value = getattr(owner, name)
-    if isinstance(value, bool):
+    if path in CHANGED_VALUES:
+        new = CHANGED_VALUES[path]
+    elif isinstance(value, bool):
         new = not value
     elif isinstance(value, int):
         new = value // 4 or value + 1
@@ -254,78 +286,98 @@ def with_leaf_changed(config, path):
     return dataclasses.replace(config, **{section[0]: owner}) if section else owner
 
 
-# Every field no stage key holds; a change to one must reuse every stored
-# stage and still give what a run with nothing stored gives.  STAGED skips
-# segmentation, so the cases start from it with segmentation on (the
-# `with_segmentation` case turns it off).
+# STAGED with segmentation on: the config whose stage outputs the stage tests
+# start from, so the table and segment stages are stored too.
 SEGMENTED = dataclasses.replace(STAGED, with_segmentation=True)
-DOWNSTREAM_FIELDS = [path for path in leaf_fields(STAGED) if not is_keyed(path)]
+# Every leaf field but scan.seed, whose other values are all rejected: each
+# model's scan seed derives from the top-level seed.
+SETTABLE_FIELDS = [path for path in leaf_fields(SEGMENTED) if path != "scan.seed"]
+# Every field no stage key holds; a change to one must reuse every stored
+# stage and still give what a run with nothing stored gives.
+DOWNSTREAM_FIELDS = [path for path in SETTABLE_FIELDS if not is_keyed(path)]
+# Every field a stage key holds; a change to one must change the output.
+KEYED_FIELDS = [path for path in SETTABLE_FIELDS if is_keyed(path)]
+# The fields a segment output depends on: the model's and the segmentor's.
+SEGMENT_READS = (
+    "scan", "seed", "segmentation.patch_size", "segmentation.knn_graph_k",
+    "segmentation.max_geodesic_radius", "segmentation.prob_decay",
+)
 
 
 @pytest.fixture(scope="module")
-def staged_outputs():
-    """The stage outputs of STAGED's model; tests copy them."""
+def staged_run():
+    """SEGMENTED's report and the stage outputs of its model."""
     stages = {}
-    run_dataset(STAGED, stages=stages)
-    return stages[0]
+    report = run_dataset(SEGMENTED, stages=stages)
+    return without_seconds(report), stages[0]
+
+
+@pytest.fixture(scope="module")
+def staged_outputs(staged_run):
+    """The stage outputs of SEGMENTED's model; tests copy them."""
+    return staged_run[1]
 
 
 class TestStages:
-    """A config run after STAGED on the same stage dict reuses only the stage
-    outputs whose config slice it shares: each field a stage key holds gets
-    a case that changes that field alone."""
+    """A config run after SEGMENTED on the same stage dict reuses only the
+    stage outputs whose config slice it shares: each leaf field a stage key
+    holds gets a case that changes that field alone."""
 
-    @pytest.mark.parametrize(
-        "variant",
-        [
-            pytest.param(changed(scan={"crowding_jitter": 0.02}), id="scan"),
-            pytest.param(changed(seed=1), id="seed"),
-            pytest.param(changed(vote_subsample=400), id="vote_subsample"),
-            pytest.param(changed(noise={"tooth_vote_sigma": 0.03}), id="noise"),
-            pytest.param(changed(pregroup_radius=0.06), id="pregroup_radius"),
-            pytest.param(changed(pregroup_min_size_frac=0.3), id="pregroup_min_size_frac"),
-            pytest.param(changed(refine={"step_size": 0.5}), id="refine"),
-            pytest.param(changed(arch_mode="coarse"), id="arch_mode"),
-            pytest.param(changed(sampling_method="fps"), id="sampling_method"),
-            pytest.param(changed(sampling={"n_samples": 48}), id="sampling"),
-            pytest.param(changed(detection={"grouping_radius": 0.08}), id="grouping_radius"),
-        ],
-    )
-    def test_changed_stage_field_recomputes(self, staged_outputs, variant):
-        shared = run_dataset(variant, stages={0: dict(staged_outputs)})
-        assert without_seconds(shared) == without_seconds(run_dataset(variant))
+    @pytest.mark.parametrize("path", KEYED_FIELDS)
+    def test_changed_stage_field_recomputes(self, staged_run, path):
+        report, outputs = staged_run
+        variant = with_leaf_changed(SEGMENTED, path)
+        shared = run_dataset(variant, stages={0: dict(outputs)})
+        alone = without_seconds(run_dataset(variant))
+        assert alone != report
+        assert without_seconds(shared) == alone
 
     @pytest.mark.parametrize("path", DOWNSTREAM_FIELDS)
     def test_downstream_change_reuses_every_stage(self, staged_outputs, path):
-        assert len(staged_outputs) == len(STAGE_FIELDS)
+        names = {stage_name(key) for key in staged_outputs}
+        assert names == {name for name, _, _ in STAGE_FIELDS}
         variant = with_leaf_changed(SEGMENTED, path)
         stages = {0: dict(staged_outputs)}
         shared = run_dataset(variant, stages=stages)
-        assert stages[0].keys() == staged_outputs.keys()
+        assert all(stages[0][key] is value for key, value in staged_outputs.items())
+        segmented = {key[1] for key in staged_outputs if stage_name(key) == "segment"}
+        for key in stages[0].keys() - staged_outputs.keys():
+            assert stage_name(key) == "segment" and key[1] not in segmented
         assert without_seconds(shared) == without_seconds(run_dataset(variant))
+
+    @pytest.mark.parametrize("path", SETTABLE_FIELDS)
+    def test_segment_key_reads_model_and_segmentor_fields(self, path):
+        variant = with_leaf_changed(SEGMENTED, path)
+        changed_key = stage_keys(variant)["segment"] != stage_keys(SEGMENTED)["segment"]
+        assert changed_key == covers(SEGMENT_READS, path)
 
     def test_arch_modes_share_pregroup_and_bezier(self, staged_outputs):
         stages = {0: dict(staged_outputs)}
         run_dataset(changed(arch_mode="coarse"), stages=stages)
         run_dataset(changed(arch_mode="direct_fit"), stages=stages)
-        names = sorted(json.loads(key)[0] for key in stages[0])
-        assert names == sorted(
-            ["votes", "pregroup", "bezier", "refine"] + 3 * ["select", "proposals"]
-        )
+        added = sorted(stage_name(key) for key in stages[0].keys() - staged_outputs.keys())
+        assert added == sorted(2 * ["select", "proposals"])
 
     def test_keys_name_only_upstream_fields(self):
         base = stage_keys(STAGED)
         after_votes = stage_keys(changed(pregroup_radius=0.06))
-        assert after_votes["votes"] == base["votes"]
+        assert all(after_votes[name] == base[name] for name in ("table", "votes", "segment"))
         assert all(after_votes[name] != base[name] for name in
                    ("pregroup", "bezier", "refine", "select", "proposals"))
 
     def test_jobs_2_stores_what_serial_stores(self, staged_outputs):
         pooled = {}
-        run_dataset(STAGED, jobs=2, stages=pooled)
+        run_dataset(SEGMENTED, jobs=2, stages=pooled)
         assert pooled[0].keys() == staged_outputs.keys()
-        votes = stage_keys(STAGED)["votes"]
-        np.testing.assert_array_equal(pooled[0][votes].position, staged_outputs[votes].position)
+        keys = stage_keys(SEGMENTED)
+        np.testing.assert_array_equal(
+            pooled[0][keys["votes"]].position, staged_outputs[keys["votes"]].position
+        )
+        for key in staged_outputs:
+            if stage_name(key) == "segment":
+                (patch, mask), (pooled_patch, pooled_mask) = staged_outputs[key], pooled[0][key]
+                np.testing.assert_array_equal(pooled_patch.point_indices, patch.point_indices)
+                np.testing.assert_array_equal(pooled_mask.probabilities, mask.probabilities)
 
     def test_run_models_stores_per_model(self):
         models = [
