@@ -3,7 +3,8 @@
 All coordinates live in normalized model units: the cloud is centered at the
 origin and scaled so the farthest point sits at distance 1 (see
 ``normalize_model``).  Every function here is pure and deterministic; any
-randomness comes in through an explicit seed.
+randomness comes in through an explicit seed.  ``k_nearest`` is the exact
+k-nearest contract (ties to the lower index) that patch crops follow.
 """
 
 from __future__ import annotations
@@ -63,38 +64,22 @@ def normalize_model(cloud: PointCloud) -> PointCloud:
     return PointCloud(centered / radius)
 
 
-class SpatialIndex:
-    """Nearest-neighbor index over a PointCloud.
+def k_nearest(points: np.ndarray, query, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """Indices and distances of the k points of an (N, 3) array nearest
+    ``query``: exact, sorted by ascending distance, ties broken by ascending
+    index.  Distances are ``np.linalg.norm(points - query, axis=1)``.
 
-    Backed by a k-d tree; queries are guaranteed to return exactly the
-    brute-force result, with ties broken by ascending point index.  Safe for
-    unlimited concurrent read queries once built.
+    Every point within the k-th smallest distance (found by a partition) is
+    sorted by (distance, index).  Returns (indices, distances).
     """
-
-    def __init__(self, cloud: PointCloud):
-        self.cloud = cloud
-        self._tree = cKDTree(cloud.points)
-
-
-def k_nearest(index: SpatialIndex, query, k: int) -> tuple[np.ndarray, np.ndarray]:
-    """Indices and distances of the k nearest cloud points to ``query``.
-
-    Sorted by ascending distance, ties broken by ascending index.
-    Returns (indices, distances).
-    """
-    n = index.cloud.size
+    n = len(points)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for cloud of size {n}")
     q = np.asarray(query, dtype=np.float64).reshape(3)
-    dist, _ = index._tree.query(q, k=k)
-    dist = np.atleast_1d(dist)
-    # Re-collect every point within the k-th distance so boundary ties are
-    # resolved by index, not by tree traversal order.
-    cand = index._tree.query_ball_point(q, float(dist[-1]) * (1 + 1e-12))
-    cand = np.asarray(cand, dtype=np.intp)
-    d = np.linalg.norm(index.cloud.points[cand] - q, axis=1)
-    order = np.lexsort((cand, d))[:k]
-    return cand[order], d[order]
+    d = np.linalg.norm(points - q, axis=1)
+    cand = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])
+    idx = cand[np.lexsort((cand, d[cand]))[:k]]
+    return idx, d[idx]
 
 
 def brute_force_k_nearest(points: np.ndarray, query, k: int):
@@ -105,9 +90,6 @@ def brute_force_k_nearest(points: np.ndarray, query, k: int):
     return idx, d[idx]
 
 
-# Points per block of the x-sorted FPS arrays; each block keeps the max of
-# its points' min_dist, so finding the next pick scans blocks, not points.
-FPS_BLOCK = 64
 # Absolute slack of the FPS window: it covers the underflow of a squared
 # coordinate difference when min_dist is tiny (near-duplicate points).
 _FPS_WINDOW_ABS = 2.0**-500
@@ -134,9 +116,9 @@ def farthest_point_sampling(cloud: PointCloud, k: int, start_index: int = 0) -> 
     coincide.  So its min_dist cannot fall.  The bounds x_j -/+ width are
     rounded, but rounding is monotone, so no sorted x inside the exact
     window falls outside the searched slice.  Every min_dist is therefore
-    bitwise what a full pass computes, and the picks are the same.  Blocks
-    of FPS_BLOCK sorted points keep their max of min_dist; the next pick is
-    the lowest original index among the points at the overall max.
+    bitwise what a full pass computes, and the picks are the same.
+    min_dist is kept in original index order, so its argmax is the lowest
+    original index at the max.
     """
     pts = cloud.points
     n = len(pts)
@@ -146,41 +128,25 @@ def farthest_point_sampling(cloud: PointCloud, k: int, start_index: int = 0) -> 
         raise ValueError(f"start_index={start_index} out of range")
     order = np.argsort(pts[:, 0], kind="stable")  # by (x, index)
     coords = np.ascontiguousarray(pts[order].T)  # sorted x, y, z rows
-    xs, x_list = coords[0], coords[0].tolist()
-    rank = np.empty(n, dtype=np.intp)
-    rank[order] = np.arange(n)
-    rank = rank.tolist()
-    n_blocks = -(-n // FPS_BLOCK)
-    pad = n_blocks * FPS_BLOCK - n
-    # min_dist and original indices in sorted order, padded to whole blocks
-    min_dist = np.concatenate([np.full(n, np.inf), np.full(pad, -np.inf)])
-    index = np.concatenate([order, np.full(pad, n)])
-    blocks = min_dist.reshape(n_blocks, FPS_BLOCK)
-    block_max = blocks.max(axis=1)
+    xs = coords[0]
+    min_dist = np.full(n, np.inf)  # in original index order
     selected = np.empty(k, dtype=np.intp)
-    selected[0] = start_index
+    selected[0] = j = start_index
     m = np.inf
     for i in range(1, k):
-        r = rank[selected[i - 1]]
+        pj = pts[j]
         width = m * (1 + 1e-9) + _FPS_WINDOW_ABS
-        lo = int(xs.searchsorted(x_list[r] - width, side="left"))
-        hi = int(xs.searchsorted(x_list[r] + width, side="right"))
-        t = coords[:, lo:hi] - coords[:, r : r + 1]
+        lo = int(xs.searchsorted(pj[0] - width, side="left"))
+        hi = int(xs.searchsorted(pj[0] + width, side="right"))
+        t = coords[:, lo:hi] - pj[:, None]
         t *= t
         d = t[0] + t[1]
         d += t[2]
         np.sqrt(d, out=d)
-        window = min_dist[lo:hi]
-        np.minimum(window, d, out=window)
-        b0, b1 = lo // FPS_BLOCK, -(-hi // FPS_BLOCK)
-        np.maximum.reduce(blocks[b0:b1], axis=1, out=block_max[b0:b1])
-        # Every block whose max is m lies in [b0, b1); the pick is the
-        # lowest original index among their points at m.
-        b0 = int(block_max.argmax())
-        b1 = n_blocks - int(block_max[::-1].argmax())
-        m = float(block_max[b0])
-        p0, p1 = b0 * FPS_BLOCK, b1 * FPS_BLOCK
-        selected[i] = index[p0:p1][min_dist[p0:p1] == m].min()
+        window = order[lo:hi]
+        min_dist[window] = np.minimum(min_dist[window], d)
+        selected[i] = j = int(min_dist.argmax())
+        m = float(min_dist[j])
     return selected
 
 

@@ -111,17 +111,6 @@ def load_dataset(manifest_path) -> tuple[list[DentalModel], list]:
     return models, visible
 
 
-def write_detection_json(path, centroids, confidences, sampling: str, params: dict) -> None:
-    payload = {
-        "centroids": np.asarray(centroids, dtype=np.float64).tolist(),
-        "confidences": np.asarray(confidences, dtype=np.float64).tolist(),
-        "sampling": sampling,
-        "params": params,
-    }
-    with open(path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-
-
 def read_detection_json(path) -> dict:
     with open(path) as fh:
         payload = json.load(fh)

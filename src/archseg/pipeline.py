@@ -17,7 +17,6 @@ slice it shares (as the ablation commands do).
 
 from __future__ import annotations
 
-import functools
 import json
 import time
 import traceback
@@ -334,13 +333,11 @@ def run_model(
 
     if config.with_segmentation:
         params = config.segmentation
-        # built at most once, and only if some centroid is not stored
-        table = functools.cache(lambda: _stage(
-            stages, keys, "table", lambda: neighbour_table(model.cloud.points)
-        ))
+        # a stored segment entry is always stored beside its table
+        table = _stage(stages, keys, "table", lambda: neighbour_table(model.cloud.points))
 
         def segment(c):
-            patch = crop_patch(model, c, params, table())
+            patch = crop_patch(model, c, params, table)
             return positive_part(patch, segment_patch(patch, params))
 
         parts = [

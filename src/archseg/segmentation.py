@@ -1,15 +1,17 @@
 """Patch-based tooth instance segmentation.
 
-A 2048-point patch is cropped around each detected centroid and scored by a
-geodesic region-growing stand-in: a k-NN graph with long (gap-crossing)
-edges pruned, geodesic distances from the seed nearest the patch center, and
-an exponentially decaying probability in geodesic distance.  Patch masks are
+A 2048-point patch (the centroid's `geometry.k_nearest` points) is cropped
+around each detected centroid and scored by a geodesic region-growing
+stand-in: a k-NN graph with long (gap-crossing) and zero-length edges
+pruned, geodesic distances from the seed nearest the patch center, and an
+exponentially decaying probability in geodesic distance.  Patch masks are
 fused into a full-model instance labeling by per-point argmax.
 
-The k-NN graph of a patch is read from one per-model `NeighbourTable` where
-the table settles it, and from the patch's own k-d tree elsewhere; either
-way each patch point gets exactly the neighbours and edge lengths the patch
-tree alone would give it.
+The k-NN graph of a patch follows the patch's own cKDTree query, ties
+included; this is a second contract beside `k_nearest`'s.  It is read from
+one per-model `NeighbourTable` where the table settles it, and from the
+patch tree elsewhere; either way each patch point gets exactly the
+neighbours and edge lengths the patch tree alone would give it.
 """
 
 from __future__ import annotations
@@ -23,6 +25,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .assignment import hungarian_assign
+from .geometry import k_nearest
 from .synthetic import DentalModel
 
 
@@ -94,18 +97,13 @@ class InstanceSegmentation:
 def crop_patch(
     model: DentalModel, center, params: SegParams = SegParams(), table=None
 ) -> Patch:
-    """Crop the patch_size nearest points to `center`, ties broken by index.
+    """Crop the patch_size nearest points to `center` (`k_nearest`: ties
+    broken by index).
 
     `table` (the model's `neighbour_table`) is passed on to the patch."""
     pts = model.cloud.points
-    size = params.patch_size
-    if len(pts) < size:
-        raise ValueError(f"cloud of {len(pts)} points is smaller than patch_size {size}")
     c = np.asarray(center, dtype=np.float64).reshape(3)
-    d = np.linalg.norm(pts - c, axis=1)
-    # every point within the size-th smallest distance, then (distance, index)
-    cand = np.flatnonzero(d <= np.partition(d, size - 1)[size - 1])
-    idx = cand[np.lexsort((cand, d[cand]))[:size]]
+    idx, _ = k_nearest(pts, c, params.patch_size)
     return Patch(center=c, point_indices=idx, relative_coords=pts[idx] - c, table=table)
 
 
@@ -154,7 +152,9 @@ def segment_patch(patch: Patch, params: SegParams = SegParams()) -> PatchMask:
     """Geodesic region growing from the point nearest the patch center.
 
     k-NN graph edges longer than twice the median edge length are removed,
-    which cuts the graph across the tooth/gingiva and tooth/tooth gaps;
+    which cuts the graph across the tooth/gingiva and tooth/tooth gaps, and
+    so are zero-length edges between duplicate points; the graph is
+    undirected, so a pair is joined if either is among the other's k-NN;
     probability decays exponentially in geodesic distance beyond the local
     seed neighborhood radius, and is 0 outside max_geodesic_radius.
 
@@ -177,11 +177,10 @@ def segment_patch(patch: Patch, params: SegParams = SegParams()) -> PatchMask:
     cols = nn.ravel()
     lengths = dist.ravel()
     cutoff = 2.0 * np.median(lengths)
-    keep = lengths <= cutoff
-    graph = csr_matrix(
-        (lengths[keep], (rows[keep], cols[keep])), shape=(n, n)
-    )
-    graph = graph.maximum(graph.T)  # symmetric: either endpoint's k-NN suffices
+    # one edge per k-NN pair, which dijkstra(directed=False) reads both
+    # ways; zero-length edges are left out, so duplicate points stay unjoined
+    keep = (lengths > 0) & (lengths <= cutoff)
+    graph = csr_matrix((lengths[keep], (rows[keep], cols[keep])), shape=(n, n))
 
     seed = int(np.argmin(np.linalg.norm(pts, axis=1)))
     g = dijkstra(graph, directed=False, indices=seed, limit=params.max_geodesic_radius)

@@ -21,7 +21,6 @@ from archseg.detection import (
 )
 from archseg.geometry import (
     PointCloud,
-    SpatialIndex,
     brute_force_k_nearest,
     chamfer_distance,
     farthest_point_sampling,
@@ -106,7 +105,7 @@ def test_criterion_3_geometry_oracles():
 
         q = rng.normal(size=3)
         k = int(rng.integers(1, min(n, 20) + 1))
-        idx, dist = k_nearest(SpatialIndex(cloud), q, k)
+        idx, dist = k_nearest(cloud.points, q, k)
         bidx, bdist = brute_force_k_nearest(pts, q, k)
         assert np.array_equal(idx, bidx)
         assert np.allclose(dist, bdist, rtol=1e-12)

@@ -390,9 +390,12 @@ class TestEvalAndReport:
             dataset_dir / "model_0000.ply", dataset_dir / "model_0000.json"
         )
         pred = tmp_path / "det.json"
-        aio.write_detection_json(
-            pred, model.centroids, np.ones(len(model.centroids)), "aps", {}
-        )
+        pred.write_text(json.dumps({
+            "centroids": model.centroids.tolist(),
+            "confidences": np.ones(len(model.centroids)).tolist(),
+            "sampling": "aps",
+            "params": {},
+        }))
         rc = main([
             "eval", "--pred", str(pred),
             "--gt-ply", str(dataset_dir / "model_0000.ply"),

@@ -5,10 +5,8 @@ from hypothesis.extra import numpy as hnp
 
 from archseg import io as aio
 from archseg.geometry import (
-    FPS_BLOCK,
     DegenerateCloudError,
     PointCloud,
-    SpatialIndex,
     brute_force_k_nearest,
     chamfer_distance,
     cross_entropy,
@@ -59,23 +57,22 @@ class TestKNearest:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force(self, seed):
         c = cloud(200, seed=seed)
-        index = SpatialIndex(c)
         rng = np.random.default_rng(seed + 100)
         for q in rng.normal(size=(10, 3)):
             for k in (1, 5, 17):
-                idx, dist = k_nearest(index, q, k)
+                idx, dist = k_nearest(c.points, q, k)
                 bidx, bdist = brute_force_k_nearest(c.points, q, k)
                 assert np.array_equal(idx, bidx)
                 assert np.allclose(dist, bdist, rtol=1e-12)
 
     def test_exact_ties_resolved_by_index(self):
         pts = np.array([[1.0, 0, 0], [0, 1.0, 0], [-1.0, 0, 0], [0, -1.0, 0]])
-        idx, dist = k_nearest(SpatialIndex(PointCloud(pts)), np.zeros(3), 2)
+        idx, dist = k_nearest(pts, np.zeros(3), 2)
         assert np.array_equal(idx, [0, 1])
 
     def test_k_too_large(self):
         with pytest.raises(ValueError):
-            k_nearest(SpatialIndex(cloud(5)), np.zeros(3), 6)
+            k_nearest(cloud(5).points, np.zeros(3), 6)
 
 
 class TestFPS:
@@ -181,9 +178,9 @@ class TestFPSEquivalence:
 
 
 class TestFPSWindow:
-    """The x-sorted window and block maxima pick what a full pass picks."""
+    """The x-sorted window picks what a full pass picks."""
 
-    @pytest.mark.parametrize("n", [1, 2, FPS_BLOCK - 1, FPS_BLOCK, FPS_BLOCK + 1, 300])
+    @pytest.mark.parametrize("n", [1, 2, 63, 64, 65, 300])
     def test_every_point_in_order(self, n):
         rng = np.random.default_rng(n)
         assert_matches_reference(rng.normal(size=(n, 3)), n, int(rng.integers(n)))

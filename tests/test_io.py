@@ -134,13 +134,25 @@ class TestManifest:
         assert aio.read_manifest(tmp_path / "manifest.json") == entries
 
 
+def write_detection_json(path, centroids, confidences, sampling, params):
+    """A detection file as `archseg eval --pred` reads it."""
+    payload = {
+        "centroids": np.asarray(centroids, dtype=np.float64).tolist(),
+        "confidences": np.asarray(confidences, dtype=np.float64).tolist(),
+        "sampling": sampling,
+        "params": params,
+    }
+    with open(path, "w") as fh:
+        json.dump(payload, fh, indent=1)
+
+
 class TestDetectionJson:
     def test_round_trip(self, tmp_path):
         rng = np.random.default_rng(2)
         centroids = rng.normal(size=(6, 3))
         conf = rng.random(6)
         path = tmp_path / "d.json"
-        aio.write_detection_json(path, centroids, conf, "aps", {"alpha": 1.0})
+        write_detection_json(path, centroids, conf, "aps", {"alpha": 1.0})
         got = aio.read_detection_json(path)
         assert np.array_equal(got["centroids"], centroids)
         assert np.array_equal(got["confidences"], conf)

@@ -7,7 +7,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
-from archseg.geometry import PointCloud, SpatialIndex, k_nearest
+from archseg.geometry import PointCloud, k_nearest
 from archseg.pipeline import model_seeds
 from archseg.segmentation import (
     TABLE_K,
@@ -38,7 +38,7 @@ class TestCropPatch:
     def test_matches_k_nearest(self, model, params):
         center = model.centroids[3]
         patch = crop_patch(model, center, params)
-        idx, _ = k_nearest(SpatialIndex(model.cloud), center, params.patch_size)
+        idx, _ = k_nearest(model.cloud.points, center, params.patch_size)
         assert np.array_equal(np.sort(patch.point_indices), np.sort(idx))
 
     def test_relative_coordinates(self, model, params):
@@ -316,6 +316,18 @@ class TestPatchEquivalence:
             model, [[0.3, 0.3, 0.1], [0.0, 0.0, 0.0], [0.33, 0.31, 0.12]], params
         )
         assert 0 < settled < rows
+
+    def test_seed_joined_only_to_its_duplicate(self):
+        """The seed's one neighbour within the cutoff is its own duplicate,
+        at distance 0: that edge joins nothing, so the mask is degenerate."""
+        rng = np.random.default_rng(5)
+        cluster = 0.5 + 0.01 * rng.normal(size=(60, 3))
+        pts = np.concatenate([np.zeros((2, 3)), cluster])
+        model = types.SimpleNamespace(cloud=PointCloud(pts))
+        params = SegParams(patch_size=len(pts))
+        assert_patches_match_reference(model, [np.zeros(3)], params)
+        ref = segment_patch_reference(crop_patch_reference(model, np.zeros(3), params), params)
+        assert ref.degenerate
 
     def test_knn_graph_k_beyond_table(self, model):
         """With k >= TABLE_K no row is settled and the tree does it all."""
