@@ -62,10 +62,8 @@ def _runner(args, stages=None):
     models generated from the config; `stages` as in `run_dataset`."""
     if not args.dataset:
         return lambda config: run_dataset(config, jobs=args.jobs, stages=stages)
-    models, visible = aio.load_dataset(Path(args.dataset) / "manifest.json")
-    return lambda config: run_models(
-        config, models, jobs=args.jobs, visible_lists=visible, stages=stages
-    )
+    models = aio.load_dataset(Path(args.dataset) / "manifest.json")
+    return lambda config: run_models(config, models, jobs=args.jobs, stages=stages)
 
 
 def render_table(headers, rows) -> str:
@@ -254,7 +252,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--weak-ratio",
         type=float,
         default=0.0,
-        help="fraction of instances visible to loss evaluation (0 = full)",
+        help="fraction of teeth recorded in the manifest as having labelled "
+        "masks (0 = full); no stage reads it yet",
     )
     p.set_defaults(func=cmd_generate)
 

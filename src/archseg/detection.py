@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -68,7 +68,6 @@ class Proposals:
 
     position: np.ndarray  # (P, 3) cluster mean
     confidence: np.ndarray  # (P,)
-    gt_assignment: np.ndarray  # (P,) matched ground-truth centroid, -1 for none
 
     def __len__(self) -> int:
         return len(self.confidence)
@@ -139,7 +138,7 @@ def make_proposals(clusters, votes: Votes, radius_scale: float = 0.1) -> Proposa
 
     confidence = sigmoid(log(size) - 2 * spread / radius_scale), where spread
     is the RMS member distance to the cluster mean: monotone up in evidence
-    mass, down in scatter.  No proposal has a ground-truth assignment yet.
+    mass, down in scatter.
     """
     if len(clusters) == 0:
         raise ValueError("no clusters")
@@ -154,18 +153,13 @@ def make_proposals(clusters, votes: Votes, radius_scale: float = 0.1) -> Proposa
         logit = math.log(len(members)) - 2.0 * spread / radius_scale
         means.append(mean)
         confidences.append(1.0 / (1.0 + math.exp(-logit)))
-    return Proposals(
-        position=np.asarray(means),
-        confidence=np.asarray(confidences),
-        gt_assignment=np.full(len(means), -1, dtype=np.intp),
-    )
+    return Proposals(position=np.asarray(means), confidence=np.asarray(confidences))
 
 
-def assign_gt_confidence(
-    proposals: Proposals, gt_centroids, threshold: float = 0.3
-) -> tuple[np.ndarray, Proposals]:
-    """Ground-truth confidence labels: 1 iff the nearest centroid is closer
-    than `threshold` (strict); positives get that centroid assigned."""
+def assign_gt_confidence(proposals: Proposals, gt_centroids, threshold: float = 0.3) -> np.ndarray:
+    """Per proposal, the index of its nearest ground-truth centroid if that
+    is closer than `threshold` (strict), else -1; a proposal's confidence
+    label is whether it has one."""
     gt = np.asarray(gt_centroids, dtype=np.float64).reshape(-1, 3)
     assigned = np.full(len(proposals), -1, dtype=np.intp)
     if len(gt):
@@ -173,8 +167,7 @@ def assign_gt_confidence(
         nearest = np.argmin(d, axis=1)
         hit = d.min(axis=1) < threshold
         assigned[hit] = nearest[hit]
-    labels = (assigned >= 0).astype(np.int64)
-    return labels, replace(proposals, gt_assignment=assigned)
+    return assigned
 
 
 def nms(proposals: Proposals, radius: float, max_k: int) -> np.ndarray:
@@ -223,27 +216,22 @@ def detection_metrics(pred_centroids, gt_centroids, match_threshold: float = 0.3
 def detection_loss(
     votes: Votes,
     proposals: Proposals,
-    labels,
+    assigned,
     model: DentalModel,
     params: DetectionLossParams = DetectionLossParams(),
-    centroids=None,
 ) -> dict:
-    """Evaluation-only detection loss terms and their combination.
-
-    `centroids` optionally restricts the ground-truth centroid set (weak
-    annotation: only the visible instances enter the loss terms).
-    """
-    gt_centroids = model.centroids if centroids is None else np.asarray(centroids)
-    gt_off = ground_truth_offsets(model, votes.seed_index, gt_centroids)
+    """Evaluation-only detection loss terms and their combination, against
+    the model's centroids; `assigned` is `assign_gt_confidence`'s output."""
+    gt_off = ground_truth_offsets(model, votes.seed_index)
     l_offset = huber_l1(votes.displacement, gt_off, params.huber_delta)
 
-    l_conf = cross_entropy(proposals.confidence, np.asarray(labels, dtype=np.float64))
+    positive = assigned >= 0
+    l_conf = cross_entropy(proposals.confidence, positive.astype(np.float64))
 
-    positive = proposals.gt_assignment >= 0
     if positive.any():
         l_centers = huber_l1(
             proposals.position[positive],
-            gt_centroids[proposals.gt_assignment[positive]],
+            model.centroids[assigned[positive]],
             params.huber_delta,
         )
     else:

@@ -99,16 +99,14 @@ def read_manifest(path) -> list[dict]:
         return json.load(fh)["models"]
 
 
-def load_dataset(manifest_path) -> tuple[list[DentalModel], list]:
-    """The manifest's models, and per model its visible_instances (None if
-    fully annotated); PLY and sidecar paths are relative to the manifest."""
+def load_dataset(manifest_path) -> list[DentalModel]:
+    """The manifest's models; PLY and sidecar paths are relative to the
+    manifest."""
     base = Path(manifest_path).parent
-    models = []
-    visible = []
-    for entry in read_manifest(manifest_path):
-        models.append(load_model(base / entry["ply"], base / entry["json"]))
-        visible.append(entry.get("visible_instances"))
-    return models, visible
+    return [
+        load_model(base / entry["ply"], base / entry["json"])
+        for entry in read_manifest(manifest_path)
+    ]
 
 
 def read_detection_json(path) -> dict:

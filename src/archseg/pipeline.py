@@ -124,6 +124,11 @@ class ExperimentConfig:
                 f"scan.seed {self.scan.seed} is not used: each model's scan seed "
                 "derives from the top-level 'seed'; set that instead"
             )
+        if self.noise.seed != VoteNoiseModel.seed:
+            raise ValueError(
+                f"noise.seed {self.noise.seed} is not used: each model's vote seed "
+                "derives from the top-level 'seed'; set that instead"
+            )
 
     def to_dict(self) -> dict:
         d = asdict(self)
@@ -224,9 +229,7 @@ def _stage(stages, keys, name, compute, item=None):
     return stages[key]
 
 
-def estimate_arch(
-    model: DentalModel, votes, config: ExperimentConfig, stages=None, keys=None
-) -> ArchPolyline:
+def estimate_arch(votes, config: ExperimentConfig, stages=None, keys=None) -> ArchPolyline:
     """Arch estimate from votes only, per arch_mode.
 
     direct_fit: chain polyline through vote-cluster centers, no curve model.
@@ -275,17 +278,10 @@ def positive_part(patch: Patch, mask: PatchMask) -> tuple[Patch, PatchMask]:
 
 
 def run_model(
-    model: DentalModel,
-    config: ExperimentConfig,
-    vote_seed: int,
-    visible_instances=None,
-    stages=None,
+    model: DentalModel, config: ExperimentConfig, vote_seed: int, stages=None
 ) -> dict:
-    """Full pipeline on one model; returns a flat metrics dict.
-
-    `visible_instances` (1-based instance ids) restricts which ground-truth
-    centroids the loss terms see, modeling weak annotation; detection and
-    segmentation metrics always use the full ground truth.
+    """Full pipeline on one model; returns a flat metrics dict.  Every
+    detection metric and loss term reads the model's full centroid set.
 
     `stages`, if given, is this model's dict of stage outputs from earlier
     calls with the same model and vote seed: each stage whose `stage_keys`
@@ -300,22 +296,15 @@ def run_model(
     votes = _stage(stages, keys, "votes", lambda: simulate_votes(
         model, config.vote_subsample, noise
     ))
-
-    if visible_instances is None:
-        loss_centroids = model.centroids
-    else:
-        idx = np.asarray(sorted(visible_instances), dtype=np.intp) - 1
-        loss_centroids = model.centroids[idx]
-
-    arch = estimate_arch(model, votes, config, stages, keys)
+    arch = estimate_arch(votes, config, stages, keys)
     selected = _stage(stages, keys, "select", lambda: select_votes(
         votes, arch, config, vote_seed
     ))
     proposals = _stage(stages, keys, "proposals", lambda: make_proposals(
         group_votes(selected, votes, config.detection.grouping_radius), votes
     ))
-    labels, proposals = assign_gt_confidence(
-        proposals, loss_centroids, config.detection.conf_gt_threshold
+    assigned = assign_gt_confidence(
+        proposals, model.centroids, config.detection.conf_gt_threshold
     )
     retained = nms(proposals, config.detection.nms_radius, config.detection.max_centroids)
     pred_centroids = proposals.position[retained]
@@ -323,9 +312,7 @@ def run_model(
     metrics = detection_metrics(
         pred_centroids, model.centroids, config.detection.match_threshold
     )
-    metrics.update(
-        detection_loss(votes, proposals, labels, model, config.loss, loss_centroids)
-    )
+    metrics.update(detection_loss(votes, proposals, assigned, model, config.loss))
     metrics["arch_mse"] = arch_mse(arch, model.gt_arch)
     metrics["n_detected"] = len(retained)
     metrics["n_teeth"] = model.n_teeth
@@ -405,13 +392,12 @@ def aggregate_metrics(per_model: list) -> dict:
 def _run_one(args):
     """One model's metrics, and the stage outputs it computed that its
     stored entries lacked (None when it was given none)."""
-    config, index, model, visible, stored = args
-    _, vote_seed = model_seeds(config, index)
+    config, index, model, stored = args
+    scan_seed, vote_seed = model_seeds(config, index)
     if model is None:
-        scan_seed, _ = model_seeds(config, index)
         model = generate_model(with_seed(config.scan, scan_seed))
     stages = None if stored is None else dict(stored)
-    metrics = run_model(model, config, vote_seed, visible, stages)
+    metrics = run_model(model, config, vote_seed, stages)
     return metrics, None if stages is None else {
         k: v for k, v in stages.items() if k not in stored
     }
@@ -429,21 +415,14 @@ def run_dataset(config: ExperimentConfig, jobs: int = 1, stages=None) -> Metrics
     Each model reuses what its entry holds and the entry keeps what the
     model computed, whether the model ran here or in a worker.
     """
-    tasks = [(config, i, None, None, _stored(stages, i)) for i in range(config.n_models)]
+    tasks = [(config, i, None, _stored(stages, i)) for i in range(config.n_models)]
     return _reduce(config, tasks, jobs)
 
 
-def run_models(
-    config: ExperimentConfig, models, jobs: int = 1, visible_lists=None, stages=None
-) -> MetricsReport:
+def run_models(config: ExperimentConfig, models, jobs: int = 1, stages=None) -> MetricsReport:
     """Run the pipeline over pre-generated (loaded) models; `stages` as in
     `run_dataset`, for the same list of models."""
-    if visible_lists is None:
-        visible_lists = [None] * len(models)
-    tasks = [
-        (config, i, m, v, _stored(stages, i))
-        for i, (m, v) in enumerate(zip(models, visible_lists))
-    ]
+    tasks = [(config, i, m, _stored(stages, i)) for i, m in enumerate(models)]
     return _reduce(replace(config, n_models=len(models)), tasks, jobs)
 
 
@@ -490,7 +469,7 @@ def _reduce(config: ExperimentConfig, tasks, jobs: int) -> MetricsReport:
             continue
         metrics, computed = result
         if computed:
-            tasks[i][4].update(computed)
+            tasks[i][3].update(computed)
         metrics = dict(metrics)
         metrics["model"] = i
         per_model.append(metrics)

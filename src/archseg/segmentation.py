@@ -247,19 +247,17 @@ def iou_dice(pred_labels, gt_labels) -> dict:
         raise ValueError("no ground-truth instances")
     pred_ids = np.unique(pred[pred > 0])
 
-    iou = np.zeros((len(gt_ids), max(len(pred_ids), 1)))
-    dice = np.zeros_like(iou)
-    for a, g in enumerate(gt_ids):
-        gmask = gt == g
-        gsize = int(gmask.sum())
-        for b, p in enumerate(pred_ids):
-            pmask = pred == p
-            inter = int(np.sum(gmask & pmask))
-            if inter == 0:
-                continue
-            psize = int(pmask.sum())
-            iou[a, b] = inter / (gsize + psize - inter)
-            dice[a, b] = 2.0 * inter / (gsize + psize)
+    # One contingency table over (gt index, pred index) pairs; the last row
+    # and column count the points outside every gt / pred instance.
+    rows = np.where(gt > 0, np.searchsorted(gt_ids, gt), len(gt_ids))
+    cols = np.where(pred > 0, np.searchsorted(pred_ids, pred), len(pred_ids))
+    shape = (len(gt_ids) + 1, len(pred_ids) + 1)
+    table = np.bincount(rows * shape[1] + cols, minlength=shape[0] * shape[1]).reshape(shape)
+    inter = table[:-1, :-1]
+    gsize = table[:-1].sum(axis=1)[:, None]
+    psize = table[:, :-1].sum(axis=0)[None, :]
+    iou = inter / (gsize + psize - inter)
+    dice = 2.0 * inter / (gsize + psize)
 
     per_instance = []
     if len(pred_ids) == 0:

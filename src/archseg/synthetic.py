@@ -304,13 +304,9 @@ def simulate_votes(model: DentalModel, subsample: int, noise: VoteNoiseModel) ->
     return Votes.from_seeds(model.cloud.points, seeds[keep], disp[keep])
 
 
-def ground_truth_offsets(model: DentalModel, seed_indices, centroids=None) -> np.ndarray:
-    """Vector from each seed point to its nearest ground-truth centroid.
-
-    `centroids` overrides the model's centroid set, e.g. to restrict loss
-    evaluation to the visible instances of a weakly annotated model.
-    """
-    cen = model.centroids if centroids is None else np.asarray(centroids, dtype=np.float64)
+def ground_truth_offsets(model: DentalModel, seed_indices) -> np.ndarray:
+    """Vector from each seed point to its nearest ground-truth centroid."""
+    cen = model.centroids
     if len(cen) == 0:
         raise ValueError("model has no teeth")
     idx = np.asarray(seed_indices, dtype=np.intp)

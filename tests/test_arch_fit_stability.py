@@ -32,7 +32,7 @@ def pinned_votes(benchmark_config, pinned_votes_by_index):
 
 def coarse_fine_errors(pinned_votes, config):
     return [
-        arch_mse(estimate_arch(model, votes, config), model.gt_arch)
+        arch_mse(estimate_arch(votes, config), model.gt_arch)
         for model, votes in pinned_votes
     ]
 
@@ -55,5 +55,5 @@ def test_arch_fit_stable_under_input_jitter(
 def test_coarse_fine_not_worse_than_direct_fit(pinned_votes, benchmark_config, index):
     model, votes = pinned_votes[index]
     direct = dataclasses.replace(benchmark_config, arch_mode="direct_fit")
-    fine = arch_mse(estimate_arch(model, votes, benchmark_config), model.gt_arch)
-    assert fine <= arch_mse(estimate_arch(model, votes, direct), model.gt_arch)
+    fine = arch_mse(estimate_arch(votes, benchmark_config), model.gt_arch)
+    assert fine <= arch_mse(estimate_arch(votes, direct), model.gt_arch)

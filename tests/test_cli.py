@@ -85,6 +85,25 @@ class TestRun:
         assert report["aggregate"]["n_models"] == 2
         assert "aggregate:" in capsys.readouterr().out
 
+    def test_weak_dataset_metrics_equal_run_models(
+        self, tmp_path, config_path, weak_dataset_dir
+    ):
+        """A weak split records which teeth have labelled masks; every
+        detection metric and loss term still reads every centroid."""
+        out = tmp_path / "run"
+        rc = main([
+            "run", "--config", str(config_path), "--dataset", str(weak_dataset_dir),
+            "--out", str(out),
+        ])
+        assert rc == 0
+        with open(out / "report.json") as fh:
+            per_model = json.load(fh)["per_model"]
+        models = aio.load_dataset(weak_dataset_dir / "manifest.json")
+        loaded = pipeline.run_models(pipeline.load_config(config_path), models)
+        assert [{k: v for k, v in m.items() if k != "seconds"} for m in per_model] == (
+            without_seconds(loaded)
+        )
+
     def test_sampling_override(self, tmp_path, config_path, dataset_dir):
         out_a = tmp_path / "aps"
         out_f = tmp_path / "fps"
@@ -161,6 +180,10 @@ class TestRun:
             pytest.param(
                 dict(TINY_CONFIG, scan={"n_points": 2000, "n_teeth": 8, "seed": 12345}),
                 "top-level 'seed'", id="scan_seed",
+            ),
+            pytest.param(
+                dict(TINY_CONFIG, noise={"seed": 123}), "noise.seed 123 is not used",
+                id="noise_seed",
             ),
             pytest.param(
                 dict(TINY_CONFIG, sampling={"n_samples": 600}),
@@ -281,11 +304,12 @@ class TestSharedStages:
     ):
         rc = main([command, "--config", str(config_path), "--dataset", str(weak_dataset_dir)])
         assert rc == 0
-        models, visible = aio.load_dataset(weak_dataset_dir / "manifest.json")
-        assert all(v is not None and len(v) < 8 for v in visible)
-        for name, (config, _), kwargs, report in recorded:
-            assert name == "run_models" and kwargs["visible_lists"] == visible
-            alone = pipeline.run_models(config, models, visible_lists=visible)
+        entries = aio.read_manifest(weak_dataset_dir / "manifest.json")
+        assert all(len(e["visible_instances"]) < 8 for e in entries)
+        models = aio.load_dataset(weak_dataset_dir / "manifest.json")
+        for name, (config, _), _, report in recorded:
+            assert name == "run_models"
+            alone = pipeline.run_models(config, models)
             assert without_seconds(report) == without_seconds(alone)
 
     @pytest.mark.parametrize("command", ABLATIONS)

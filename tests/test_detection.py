@@ -184,10 +184,10 @@ class TestGTConfidence:
         vts = votes_at(np.zeros((1, 3)))
         props = make_proposals([np.array([0])], vts)
         gt = np.array([[0.3, 0.0, 0.0]])
-        labels, out = assign_gt_confidence(props, gt, threshold=0.3)
-        assert labels[0] == 0 and out.gt_assignment[0] == -1
-        labels, out = assign_gt_confidence(props, gt, threshold=0.300001)
-        assert labels[0] == 1 and out.gt_assignment[0] == 0
+        assigned = assign_gt_confidence(props, gt, threshold=0.3)
+        assert assigned.tolist() == [-1]
+        assigned = assign_gt_confidence(props, gt, threshold=0.300001)
+        assert assigned.tolist() == [0]
 
 
 class TestNMS:
@@ -251,8 +251,8 @@ class TestDetectionLoss:
         sel = fps_vote_sampling(votes, 32)
         clusters = group_votes(sel, votes, 0.1)
         props = make_proposals(clusters, votes)
-        labels, props = assign_gt_confidence(props, model.centroids, 0.3)
-        loss = detection_loss(votes, props, labels, model)
+        assigned = assign_gt_confidence(props, model.centroids, 0.3)
+        loss = detection_loss(votes, props, assigned, model)
         assert loss["l_det"] == pytest.approx(
             loss["l_offset"] + loss["l_conf"] + 0.1 * loss["l_centers"], rel=1e-12
         )
@@ -263,8 +263,8 @@ class TestDetectionLoss:
         sel = fps_vote_sampling(votes, 32)
         clusters = group_votes(sel, votes, 0.1)
         props = make_proposals(clusters, votes)
-        labels, props = assign_gt_confidence(props, model.centroids, 0.3)
-        loss = detection_loss(votes, props, labels, model)
+        assigned = assign_gt_confidence(props, model.centroids, 0.3)
+        loss = detection_loss(votes, props, assigned, model)
         assert loss["l_offset"] == pytest.approx(0.0, abs=1e-15)
         assert loss["l_centers"] == pytest.approx(0.0, abs=1e-15)
 

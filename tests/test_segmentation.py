@@ -3,10 +3,12 @@ import warnings
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 from scipy.spatial import cKDTree
 
+from archseg.assignment import hungarian_assign
 from archseg.geometry import PointCloud, k_nearest
 from archseg.pipeline import model_seeds
 from archseg.segmentation import (
@@ -205,6 +207,94 @@ class TestIoUDice:
         gt = np.array([1] * 10 + [2] * 10)
         r = iou_dice(np.zeros(20, dtype=int), gt)
         assert r["mean_iou"] == 0.0 and r["mean_dice"] == 0.0
+
+
+def iou_dice_reference(pred_labels, gt_labels) -> dict:
+    """The per-(gt, pred) mask loop `iou_dice` replaced."""
+    pred = np.asarray(pred_labels, dtype=np.int64)
+    gt = np.asarray(gt_labels, dtype=np.int64)
+    gt_ids = np.unique(gt[gt > 0])
+    pred_ids = np.unique(pred[pred > 0])
+    iou = np.zeros((len(gt_ids), max(len(pred_ids), 1)))
+    dice = np.zeros_like(iou)
+    for a, g in enumerate(gt_ids):
+        gmask = gt == g
+        gsize = int(gmask.sum())
+        for b, p in enumerate(pred_ids):
+            pmask = pred == p
+            inter = int(np.sum(gmask & pmask))
+            if inter == 0:
+                continue
+            psize = int(pmask.sum())
+            iou[a, b] = inter / (gsize + psize - inter)
+            dice[a, b] = 2.0 * inter / (gsize + psize)
+
+    if len(pred_ids) == 0:
+        matched = {}
+    elif len(gt_ids) <= len(pred_ids):
+        assignment, _ = hungarian_assign(-iou)
+        matched = {a: int(assignment[a]) for a in range(len(gt_ids))}
+    else:
+        assignment, _ = hungarian_assign(-iou.T)
+        matched = {int(assignment[b]): b for b in range(len(pred_ids))}
+    per_instance = []
+    total_iou = 0.0
+    total_dice = 0.0
+    for a, g in enumerate(gt_ids):
+        b = matched.get(a)
+        if b is None or iou[a, b] == 0.0:
+            per_instance.append({"gt_id": int(g), "pred_id": None, "iou": 0.0, "dice": 0.0})
+            continue
+        total_iou += iou[a, b]
+        total_dice += dice[a, b]
+        per_instance.append({
+            "gt_id": int(g),
+            "pred_id": int(pred_ids[b]),
+            "iou": 100.0 * iou[a, b],
+            "dice": 100.0 * dice[a, b],
+        })
+    return {
+        "mean_iou": 100.0 * total_iou / len(gt_ids),
+        "mean_dice": 100.0 * total_dice / len(gt_ids),
+        "per_instance": per_instance,
+    }
+
+
+def assert_iou_dice_matches_reference(pred, gt):
+    """Bitwise: repr tells -0.0 from 0.0 and a numpy float from a Python one."""
+    assert repr(iou_dice(pred, gt)) == repr(iou_dice_reference(pred, gt))
+
+
+def perturbed(labels, rng):
+    """`labels` with its ids shuffled among themselves, gingiva and three
+    extra ids, then a tenth of the points relabelled at random."""
+    n_ids = int(labels.max()) + 4
+    pred = rng.permutation(n_ids)[labels]
+    flip = rng.random(len(labels)) < 0.1
+    pred[flip] = rng.integers(0, n_ids, int(flip.sum()))
+    return pred
+
+
+class TestIoUDiceReference:
+    @pytest.mark.parametrize("index", range(5))
+    def test_pinned_labelings(self, benchmark_config, index):
+        scan_seed, _ = model_seeds(benchmark_config, index)
+        gt = generate_model(with_seed(benchmark_config.scan, scan_seed)).labels
+        rng = np.random.default_rng(index)
+        for _ in range(6):
+            assert_iou_dice_matches_reference(perturbed(gt, rng), gt)
+        assert_iou_dice_matches_reference(np.zeros_like(gt), gt)
+        assert_iou_dice_matches_reference(gt, gt)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_drawn_labelings(self, data):
+        n = data.draw(st.integers(1, 60))
+        gt = np.array(data.draw(st.lists(st.integers(0, 5), min_size=n, max_size=n)))
+        gt[data.draw(st.integers(0, n - 1))] = data.draw(st.integers(1, 5))
+        pred_max = data.draw(st.sampled_from([0, 3, 9]))  # none, fewer or more ids
+        pred = data.draw(st.lists(st.integers(0, pred_max), min_size=n, max_size=n))
+        assert_iou_dice_matches_reference(np.array(pred), gt)
 
 
 def crop_patch_reference(model, center, params):

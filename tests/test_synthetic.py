@@ -144,10 +144,3 @@ class TestGroundTruthOffsets:
             target = model.cloud.points[i] + o
             d = np.linalg.norm(model.centroids - target, axis=1).min()
             assert d < 1e-12
-
-    def test_restricted_centroids(self, model):
-        idx = np.arange(10)
-        off = ground_truth_offsets(model, idx, model.centroids[:2])
-        targets = model.cloud.points[idx] + off
-        for t in targets:
-            assert np.linalg.norm(model.centroids[:2] - t, axis=1).min() < 1e-12
