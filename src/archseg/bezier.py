@@ -52,14 +52,6 @@ def bezier_derivative(curve: BezierCurve, t) -> np.ndarray:
     return d
 
 
-def bezier_second_derivative(curve: BezierCurve, t) -> np.ndarray:
-    p = curve.control
-    t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    return 6 * (1.0 - t)[:, None] * (p[2] - 2 * p[1] + p[0]) + 6 * t[:, None] * (
-        p[3] - 2 * p[2] + p[1]
-    )
-
-
 def arc_length_params(curve: BezierCurve, fractions, segments: int = 1024) -> np.ndarray:
     """Parameters t at which arc length reaches the given fractions of total,
     measured along the polyline through `segments + 1` uniform-t samples."""
@@ -82,6 +74,23 @@ def bezier_sample_uniform(curve: BezierCurve, n: int, segments: int = 1024) -> n
     return _bernstein(ts) @ curve.control
 
 
+# The 257-point parameter grid that seeds every projection, and its basis.
+_GRID = np.linspace(0.0, 1.0, 257)
+_GRID_BASIS = _bernstein(_GRID)
+
+
+def _basis_and_derivative(t: np.ndarray, diffs: np.ndarray):
+    """(basis, derivative, s) at t for control differences diffs =
+    np.diff(control, axis=0), s = 1 - t: bitwise `_bernstein(t)` and
+    `bezier_derivative`, with 3 s^2 and t^2 computed once for both."""
+    s = 1.0 - t
+    s2 = 3 * s**2
+    t2 = t**2
+    basis = np.stack([s**3, s2 * t, 3 * s * t2, t**3], axis=-1)
+    deriv = s2[:, None] * diffs[0] + (6 * (s * t))[:, None] * diffs[1]
+    return basis, deriv + (3 * t2)[:, None] * diffs[2], s
+
+
 def _project_params(curve: BezierCurve, targets: np.ndarray, t0: np.ndarray,
                     newton_steps: int = 10) -> np.ndarray:
     """Per-target nearest-point parameters via safeguarded Newton on the
@@ -90,30 +99,34 @@ def _project_params(curve: BezierCurve, targets: np.ndarray, t0: np.ndarray,
     A Newton step is only accepted if it does not increase the distance, so
     the overall fit residual is monotone.  Each target is additionally seeded
     from the nearest point on a dense parameter grid, which lets the search
-    escape local minima of the foot-point equation."""
+    escape local minima of the foot-point equation.  A step is a function of
+    (t, distance) alone, so once a step leaves both bitwise unchanged every
+    later one would too, and the search stops there."""
+    p = curve.control
+    diffs = np.diff(p, axis=0)
+    second = (p[2] - 2 * p[1] + p[0], p[3] - 2 * p[2] + p[1])
     t = t0.copy()
-    best_d = np.linalg.norm(_bernstein(t) @ curve.control - targets, axis=1)
-    grid = np.linspace(0.0, 1.0, 257)
-    grid_pts = _bernstein(grid) @ curve.control
-    d_grid = np.linalg.norm(targets[:, None, :] - grid_pts[None, :, :], axis=2)
+    best_d = np.linalg.norm(_bernstein(t) @ p - targets, axis=1)
+    d_grid = np.linalg.norm(targets[:, None, :] - (_GRID_BASIS @ p)[None, :, :], axis=2)
     gi = np.argmin(d_grid, axis=1)
     g_best = d_grid[np.arange(len(targets)), gi]
     take = g_best < best_d
-    t = np.where(take, grid[gi], t)
+    t = np.where(take, _GRID[gi], t)
     best_d = np.where(take, g_best, best_d)
     for _ in range(newton_steps):
-        b = _bernstein(t) @ curve.control
-        d1 = bezier_derivative(curve, t)
-        d2 = bezier_second_derivative(curve, t)
-        diff = b - targets
+        basis, d1, s = _basis_and_derivative(t, diffs)
+        d2 = 6 * s[:, None] * second[0] + 6 * t[:, None] * second[1]
+        diff = basis @ p - targets
         f = np.einsum("ij,ij->i", diff, d1)
         fp = np.einsum("ij,ij->i", d1, d1) + np.einsum("ij,ij->i", diff, d2)
         step = np.where(np.abs(fp) > 1e-300, f / np.where(fp == 0, 1.0, fp), 0.0)
         t_new = np.clip(t - step, 0.0, 1.0)
-        d_new = np.linalg.norm(_bernstein(t_new) @ curve.control - targets, axis=1)
+        d_new = np.linalg.norm(_bernstein(t_new) @ p - targets, axis=1)
         accept = d_new <= best_d
-        t = np.where(accept, t_new, t)
-        best_d = np.where(accept, d_new, best_d)
+        t_next, d_next = np.where(accept, t_new, t), np.where(accept, d_new, best_d)
+        if t_next.tobytes() == t.tobytes() and d_next.tobytes() == best_d.tobytes():
+            break
+        t, best_d = t_next, d_next
     return t
 
 
@@ -135,27 +148,28 @@ def _polish_joint(pts: np.ndarray, ctrl: np.ndarray, t: np.ndarray,
     n = len(pts)
     free = np.arange(1, n - 1)
     lam = 1e-6
-    curve = BezierCurve(ctrl)
-    resid = (_bernstein(t) @ curve.control - pts).ravel()
+    eye = np.eye(12 + n - 2)
+    # the Jacobian's zero pattern is fixed; each step overwrites the rest
+    jac = np.zeros((3 * n, len(eye)))
+    resid = (_bernstein(t) @ ctrl - pts).ravel()
     cost = resid @ resid
+    h = None  # a rejected step leaves ctrl and t, so J, g and h, as they were
     for _ in range(iters):
-        basis = _bernstein(t)  # (n, 4)
-        deriv = bezier_derivative(curve, t)  # (n, 3)
-        jac = np.zeros((3 * n, 12 + n - 2))
-        for k in range(3):
-            jac[k::3, 4 * k : 4 * k + 4] = basis
-            jac[3 * free + k, 11 + free] = deriv[free, k]
-        g = jac.T @ resid
-        h = jac.T @ jac
-        step = np.linalg.solve(h + lam * np.eye(12 + n - 2), -g)
-        ctrl_new = curve.control + step[:12].reshape(3, 4).T
+        if h is None:
+            basis, deriv, _ = _basis_and_derivative(t, np.diff(ctrl, axis=0))
+            for k in range(3):
+                jac[k::3, 4 * k : 4 * k + 4] = basis
+                jac[3 * free + k, 11 + free] = deriv[free, k]
+            g = jac.T @ resid
+            h = jac.T @ jac
+        step = np.linalg.solve(h + lam * eye, -g)
+        ctrl_new = ctrl + step[:12].reshape(3, 4).T
         t_new = t.copy()
         t_new[free] += step[12:]
         resid_new = (_bernstein(t_new) @ ctrl_new - pts).ravel()
         cost_new = resid_new @ resid_new
         if cost_new < cost:
-            curve = BezierCurve(ctrl_new)
-            t, resid = t_new, resid_new
+            ctrl, t, resid, h = ctrl_new, t_new, resid_new, None
             if cost - cost_new < 1e-30:
                 break
             cost = cost_new
@@ -168,7 +182,7 @@ def _polish_joint(pts: np.ndarray, ctrl: np.ndarray, t: np.ndarray,
         return None
     if t.min() < 0.0 or t.max() > 1.0 or np.any(np.diff(t) < 0.0):
         return None
-    return curve.control, t
+    return ctrl, t
 
 
 def _least_squares_fit(pts: np.ndarray, max_iters: int,

@@ -173,14 +173,14 @@ def segment_patch(patch: Patch, params: SegParams = SegParams()) -> PatchMask:
     rest = np.flatnonzero(~settled)
     d, j = cKDTree(pts).query(pts[rest], k=k + 1)
     dist[rest], nn[rest] = d[:, 1:], j[:, 1:]  # drop the self-match
-    rows = np.repeat(np.arange(n), k)
-    cols = nn.ravel()
-    lengths = dist.ravel()
-    cutoff = 2.0 * np.median(lengths)
-    # one edge per k-NN pair, which dijkstra(directed=False) reads both
-    # ways; zero-length edges are left out, so duplicate points stay unjoined
-    keep = (lengths > 0) & (lengths <= cutoff)
-    graph = csr_matrix((lengths[keep], (rows[keep], cols[keep])), shape=(n, n))
+    cutoff = 2.0 * np.median(dist)
+    # Row i of the CSR graph holds point i's kept k-NN edges, one per pair,
+    # which dijkstra(directed=False) reads both ways; zero-length edges are
+    # left out, so duplicate points stay unjoined.  A row whose edges are
+    # all cut is empty.
+    keep = (dist > 0) & (dist <= cutoff)
+    indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
+    graph = csr_matrix((dist[keep], nn[keep], indptr), shape=(n, n))
 
     seed = int(np.argmin(np.linalg.norm(pts, axis=1)))
     g = dijkstra(graph, directed=False, indices=seed, limit=params.max_geodesic_radius)

@@ -1,10 +1,16 @@
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from archseg import bezier
+from archseg.arch import order_centroids
 from archseg.bezier import (
     BezierCurve,
+    _bernstein,
     _least_squares_fit,
+    _project_params,
     arc_length_params,
     bezier_derivative,
     bezier_eval,
@@ -12,6 +18,7 @@ from archseg.bezier import (
     fit_bezier,
     reparametrize,
 )
+from archseg.pipeline import stage_keys
 
 
 def arch_like_curve(seed):
@@ -148,3 +155,151 @@ class TestFit:
         assert (fitted.control >= lo - margin).all()
         assert (fitted.control <= hi + margin).all()
         assert residual < 0.1
+
+
+def project_params_reference(curve, targets, t0, newton_steps=10):
+    """The `_project_params` that re-evaluated the basis and both
+    derivatives from scratch and ran every Newton step."""
+    t = t0.copy()
+    best_d = np.linalg.norm(_bernstein(t) @ curve.control - targets, axis=1)
+    grid = np.linspace(0.0, 1.0, 257)
+    grid_pts = _bernstein(grid) @ curve.control
+    d_grid = np.linalg.norm(targets[:, None, :] - grid_pts[None, :, :], axis=2)
+    gi = np.argmin(d_grid, axis=1)
+    g_best = d_grid[np.arange(len(targets)), gi]
+    take = g_best < best_d
+    t = np.where(take, grid[gi], t)
+    best_d = np.where(take, g_best, best_d)
+    p = curve.control
+    for _ in range(newton_steps):
+        b = _bernstein(t) @ curve.control
+        d1 = bezier_derivative(curve, t)
+        d2 = 6 * (1.0 - t)[:, None] * (p[2] - 2 * p[1] + p[0]) + 6 * t[:, None] * (
+            p[3] - 2 * p[2] + p[1]
+        )
+        diff = b - targets
+        f = np.einsum("ij,ij->i", diff, d1)
+        fp = np.einsum("ij,ij->i", d1, d1) + np.einsum("ij,ij->i", diff, d2)
+        step = np.where(np.abs(fp) > 1e-300, f / np.where(fp == 0, 1.0, fp), 0.0)
+        t_new = np.clip(t - step, 0.0, 1.0)
+        d_new = np.linalg.norm(_bernstein(t_new) @ curve.control - targets, axis=1)
+        accept = d_new <= best_d
+        t = np.where(accept, t_new, t)
+        best_d = np.where(accept, d_new, best_d)
+    return t
+
+
+def polish_joint_reference(pts, ctrl, t, iters=200):
+    """The `_polish_joint` that rebuilt its Jacobian and a validated curve
+    at every step."""
+    n = len(pts)
+    free = np.arange(1, n - 1)
+    lam = 1e-6
+    curve = BezierCurve(ctrl)
+    resid = (_bernstein(t) @ curve.control - pts).ravel()
+    cost = resid @ resid
+    for _ in range(iters):
+        basis = _bernstein(t)
+        deriv = bezier_derivative(curve, t)
+        jac = np.zeros((3 * n, 12 + n - 2))
+        for k in range(3):
+            jac[k::3, 4 * k : 4 * k + 4] = basis
+            jac[3 * free + k, 11 + free] = deriv[free, k]
+        g = jac.T @ resid
+        h = jac.T @ jac
+        step = np.linalg.solve(h + lam * np.eye(12 + n - 2), -g)
+        ctrl_new = curve.control + step[:12].reshape(3, 4).T
+        t_new = t.copy()
+        t_new[free] += step[12:]
+        resid_new = (_bernstein(t_new) @ ctrl_new - pts).ravel()
+        cost_new = resid_new @ resid_new
+        if cost_new < cost:
+            curve = BezierCurve(ctrl_new)
+            t, resid = t_new, resid_new
+            if cost - cost_new < 1e-30:
+                break
+            cost = cost_new
+            lam = max(lam * 0.3, 1e-12)
+        else:
+            lam *= 10.0
+            if lam > 1e8:
+                break
+    else:
+        return None
+    if t.min() < 0.0 or t.max() > 1.0 or np.any(np.diff(t) < 0.0):
+        return None
+    return curve.control, t
+
+
+def assert_fit_matches_reference(targets):
+    """`fit_bezier` gives the control bytes and residual it gives with the
+    reference projection and polish patched in."""
+    curve, residual = fit_bezier(targets)
+    with mock.patch.multiple(
+        bezier, _project_params=project_params_reference, _polish_joint=polish_joint_reference
+    ):
+        want, want_residual = fit_bezier(targets)
+    assert curve.control.tobytes() == want.control.tobytes()
+    assert repr(residual) == repr(want_residual)
+
+
+def drawn_targets(seed, n, kind):
+    """n targets along a random arch-like curve: exact samples, samples
+    with noise, or noisy samples with a quarter of them pushed off the
+    curve in z, as gingiva clutter clusters are."""
+    rng = np.random.default_rng(seed)
+    pts = bezier_eval(arch_like_curve(seed), np.sort(rng.uniform(0, 1, n)))
+    if kind != "exact":
+        pts = pts + rng.normal(0, 0.01, pts.shape)
+    if kind == "cluttered":
+        off = rng.random(n) < 0.25
+        pts[off, 2] -= rng.uniform(0.05, 0.3, int(off.sum()))
+    return pts
+
+
+def newton_steps_run(curve, targets, t0):
+    """`_project_params`'s result and the number of Newton steps it ran."""
+    with mock.patch.object(
+        bezier, "_basis_and_derivative", wraps=bezier._basis_and_derivative
+    ) as spy:
+        t = _project_params(curve, targets, t0)
+    return t, spy.call_count
+
+
+class TestFitEquivalence:
+    def test_pinned_fits_match_reference(self, benchmark_config, full_report, pinned_stages):
+        """The 50 pinned fit inputs: the vote-cluster centres `full_report`
+        pregrouped (`pregroup_votes`), in `order_centroids` order."""
+        key = stage_keys(benchmark_config)["pregroup"]
+        for i in range(benchmark_config.n_models):
+            centers = pinned_stages[i][key]
+            assert_fit_matches_reference(centers[order_centroids(centers)])
+
+    @given(st.integers(0, 2**32 - 1), st.integers(4, 40),
+           st.sampled_from(["exact", "noisy", "cluttered"]))
+    @settings(max_examples=12, deadline=None)
+    def test_drawn_fits_match_reference(self, seed, n, kind):
+        assert_fit_matches_reference(drawn_targets(seed, n, kind))
+
+    def test_projection_stops_at_fixed_point(self):
+        c = arch_like_curve(0)
+        targets = bezier_eval(c, np.linspace(0, 1, 8)) + np.random.default_rng(100).normal(
+            0, 0.01, (8, 3)
+        )
+        t0 = np.linspace(0, 1, 8)
+        t, steps = newton_steps_run(c, targets, t0)
+        assert steps < 10
+        assert t.tobytes() == project_params_reference(c, targets, t0).tobytes()
+
+    def test_projection_runs_every_step(self):
+        # one target still moves at the 10th step
+        c = arch_like_curve(3)
+        targets = bezier_eval(c, np.linspace(0, 1, 4)) + np.random.default_rng(103).normal(
+            0, 0.1, (4, 3)
+        )
+        t0 = np.linspace(0, 1, 4)
+        t, steps = newton_steps_run(c, targets, t0)
+        assert steps == 10
+        want = project_params_reference(c, targets, t0)
+        assert want.tobytes() != project_params_reference(c, targets, t0, 9).tobytes()
+        assert t.tobytes() == want.tobytes()

@@ -419,6 +419,29 @@ class TestPatchEquivalence:
         ref = segment_patch_reference(crop_patch_reference(model, np.zeros(3), params), params)
         assert ref.degenerate
 
+    def test_cut_off_row_and_duplicate_pair(self):
+        """A point whose k-NN edges are all cut leaves its graph row empty,
+        in the middle of the patch; a duplicated point adds a zero-length
+        edge.  Patched at the line's end, and at the cut-off point itself,
+        whose isolated seed makes the mask degenerate."""
+        rng = np.random.default_rng(7)
+        line = np.stack([np.linspace(0.0, 2.0, 200), 0.002 * rng.normal(size=200),
+                         np.zeros(200)], axis=1)
+        cut_off = [0.0, 0.5, 0.0]
+        pts = np.concatenate([line, [cut_off], line[40:41]])
+        model = types.SimpleNamespace(cloud=PointCloud(pts))
+        params = SegParams(patch_size=len(pts), max_geodesic_radius=1.0)
+        patch = crop_patch_reference(model, np.zeros(3), params)
+        row = int(np.flatnonzero(patch.point_indices == 200)[0])
+        dist, _ = cKDTree(patch.relative_coords).query(
+            patch.relative_coords, k=params.knn_graph_k + 1
+        )
+        assert 0 < row < len(pts) - 1
+        assert dist[row, 1] > 2.0 * np.median(dist[:, 1:])
+        assert_patches_match_reference(model, [np.zeros(3), cut_off], params)
+        cut_patch = crop_patch_reference(model, cut_off, params)
+        assert segment_patch_reference(cut_patch, params).degenerate
+
     def test_knn_graph_k_beyond_table(self, model):
         """With k >= TABLE_K no row is settled and the tree does it all."""
         params = SegParams(patch_size=512, knn_graph_k=TABLE_K, prob_decay=2.0)
