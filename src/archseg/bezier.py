@@ -41,15 +41,9 @@ def bezier_eval(curve: BezierCurve, t):
 
 
 def bezier_derivative(curve: BezierCurve, t) -> np.ndarray:
-    p = curve.control
+    """dB/dt at each t, as an (len(t), 3) array."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    s = 1.0 - t
-    d = (
-        3 * s[:, None] ** 2 * (p[1] - p[0])
-        + 6 * (s * t)[:, None] * (p[2] - p[1])
-        + 3 * t[:, None] ** 2 * (p[3] - p[2])
-    )
-    return d
+    return _basis_and_derivative(t, np.diff(curve.control, axis=0))[1]
 
 
 def arc_length_params(curve: BezierCurve, fractions, segments: int = 1024) -> np.ndarray:
@@ -81,8 +75,8 @@ _GRID_BASIS = _bernstein(_GRID)
 
 def _basis_and_derivative(t: np.ndarray, diffs: np.ndarray):
     """(basis, derivative, s) at t for control differences diffs =
-    np.diff(control, axis=0), s = 1 - t: bitwise `_bernstein(t)` and
-    `bezier_derivative`, with 3 s^2 and t^2 computed once for both."""
+    np.diff(control, axis=0), s = 1 - t: the basis is bitwise `_bernstein(t)`,
+    with 3 s^2 and t^2 computed once for both."""
     s = 1.0 - t
     s2 = 3 * s**2
     t2 = t**2

@@ -12,7 +12,6 @@ from pathlib import Path
 
 import numpy as np
 
-from .arch import ArchPolyline
 from .geometry import PointCloud
 from .synthetic import DentalModel, ScanConfig, config_from_dict
 
@@ -67,7 +66,6 @@ def save_model(model: DentalModel, ply_path, json_path) -> None:
     write_ply(ply_path, model.cloud.points, model.labels)
     sidecar = {
         "centroids": model.centroids.tolist(),
-        "arch": model.gt_arch.points.tolist(),
         "config": model.config_echo.to_dict(),
     }
     with open(json_path, "w") as fh:
@@ -84,7 +82,6 @@ def load_model(ply_path, json_path) -> DentalModel:
         cloud=PointCloud(points),
         labels=labels,
         centroids=np.asarray(sidecar["centroids"], dtype=np.float64),
-        gt_arch=ArchPolyline(np.asarray(sidecar["arch"], dtype=np.float64)),
         config_echo=config_from_dict(ScanConfig, sidecar["config"]),
     )
 

@@ -8,11 +8,11 @@ per-model metrics into a MetricsReport with exact-mean aggregates.
 
 run_model runs named stages in order: votes -> arch (pregroup -> bezier ->
 refine) -> select -> proposals, then NMS and metrics, then per retained
-centroid a segment stage that reads the model's neighbour table.  Each
-stage reads its upstream outputs and only the config fields STAGE_FIELDS
-lists for it, so a caller that runs several configs over the same models
-can pass `stages` and have every config reuse the outputs whose config
-slice it shares (as the ablation commands do).
+centroid a segment stage that reads the model's neighbour table and keeps
+the patch's tooth mask.  Each stage reads its upstream outputs and only the
+config fields STAGE_FIELDS lists for it, so a caller that runs several
+configs over the same models can pass `stages` and have every config reuse
+the outputs whose config slice it shares (as the ablation commands do).
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ from .detection import (
     random_vote_sampling,
 )
 from .segmentation import (
-    Patch,
-    PatchMask,
     SegParams,
     crop_patch,
     fuse_patches,
@@ -100,6 +98,8 @@ class ExperimentConfig:
             raise ValueError(f"sampling_method must be one of {SAMPLING_METHODS}")
         if self.n_models < 1:
             raise ValueError("n_models must be >= 1")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if self.vote_subsample < 1:
             raise ValueError("vote_subsample must be >= 1")
         if self.pregroup_radius <= 0:
@@ -139,6 +139,8 @@ class ExperimentConfig:
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Inverse of `to_dict`; a missing key keeps its default and an
         unknown key raises ValueError."""
+        if not isinstance(d, dict):
+            raise ValueError(f"a config must be a JSON object, got {d!r}")
         d = dict(d)
         for key, klass in [
             ("scan", ScanConfig),
@@ -261,22 +263,6 @@ def select_votes(votes, arch: ArchPolyline, config: ExperimentConfig, seed: int)
     return random_vote_sampling(votes, config.sampling.n_samples, seed)
 
 
-def positive_part(patch: Patch, mask: PatchMask) -> tuple[Patch, PatchMask]:
-    """The patch and mask restricted to the points with probability > 0, and
-    the patch without its table.  A point at probability 0 never wins in
-    `fuse_patches`, so fusing these gives the labels the full ones give."""
-    keep = mask.probabilities > 0
-    return (
-        replace(
-            patch,
-            point_indices=patch.point_indices[keep],
-            relative_coords=patch.relative_coords[keep],
-            table=None,
-        ),
-        replace(mask, probabilities=mask.probabilities[keep]),
-    )
-
-
 def run_model(
     model: DentalModel, config: ExperimentConfig, vote_seed: int, stages=None
 ) -> dict:
@@ -322,22 +308,13 @@ def run_model(
         params = config.segmentation
         # a stored segment entry is always stored beside its table
         table = _stage(stages, keys, "table", lambda: neighbour_table(model.cloud.points))
-
-        def segment(c):
-            patch = crop_patch(model, c, params, table)
-            return positive_part(patch, segment_patch(patch, params))
-
-        parts = [
-            _stage(stages, keys, "segment", lambda c=c: segment(c), c.tobytes())
+        masks = [
+            _stage(stages, keys, "segment", lambda c=c: segment_patch(
+                crop_patch(model, c, params), params, table
+            ), c.tobytes())
             for c in pred_centroids
         ]
-        fused = fuse_patches(
-            model, [p for p, _ in parts], [m for _, m in parts], params
-        )
-        seg = iou_dice(fused.labels, model.labels)
-        metrics["mean_iou"] = seg["mean_iou"]
-        metrics["mean_dice"] = seg["mean_dice"]
-        metrics["per_instance"] = seg["per_instance"]
+        metrics.update(iou_dice(fuse_patches(model, masks, params), model.labels))
 
     metrics["seconds"] = time.perf_counter() - t0
     return metrics

@@ -4,8 +4,10 @@ A 2048-point patch (the centroid's `geometry.k_nearest` points) is cropped
 around each detected centroid and scored by a geodesic region-growing
 stand-in: a k-NN graph with long (gap-crossing) and zero-length edges
 pruned, geodesic distances from the seed nearest the patch center, and an
-exponentially decaying probability in geodesic distance.  Patch masks are
-fused into a full-model instance labeling by per-point argmax.
+exponentially decaying probability in geodesic distance.  A patch's mask
+keeps only its points with probability > 0, the only ones that can win
+when the masks are fused into a full-model instance labeling by per-point
+argmax.
 
 The k-NN graph of a patch follows the patch's own cKDTree query, ties
 included; this is a second contract beside `k_nearest`'s.  It is read from
@@ -71,46 +73,39 @@ def neighbour_table(points) -> NeighbourTable:
 
 @dataclass(frozen=True)
 class Patch:
-    """The patch_size cloud points nearest a detected centroid; `table`, if
-    given, is the whole cloud's NeighbourTable (shared, not copied)."""
+    """The patch_size cloud points nearest a detected centroid."""
 
     center: np.ndarray
     point_indices: np.ndarray
     relative_coords: np.ndarray
-    table: NeighbourTable | None = None
 
 
 @dataclass(frozen=True)
 class PatchMask:
-    """Per-patch-point tooth probability, aligned with Patch.point_indices."""
+    """A patch's tooth mask as fusion reads it: the patch points with
+    probability > 0, in patch order, with their distance to the patch
+    center."""
 
+    point_indices: np.ndarray  # cloud indices
+    distances: np.ndarray
     probabilities: np.ndarray
     degenerate: bool = False
 
 
-@dataclass(frozen=True)
-class InstanceSegmentation:
-    labels: np.ndarray  # 0 = background, k >= 1 = k-th patch's instance
-    winning_prob: np.ndarray
-
-
-def crop_patch(
-    model: DentalModel, center, params: SegParams = SegParams(), table=None
-) -> Patch:
+def crop_patch(model: DentalModel, center, params: SegParams = SegParams()) -> Patch:
     """Crop the patch_size nearest points to `center` (`k_nearest`: ties
-    broken by index).
-
-    `table` (the model's `neighbour_table`) is passed on to the patch."""
+    broken by index)."""
     pts = model.cloud.points
     c = np.asarray(center, dtype=np.float64).reshape(3)
     idx, _ = k_nearest(pts, c, params.patch_size)
-    return Patch(center=c, point_indices=idx, relative_coords=pts[idx] - c, table=table)
+    return Patch(center=c, point_indices=idx, relative_coords=pts[idx] - c)
 
 
-def _table_neighbours(patch: Patch, k: int):
+def _table_neighbours(patch: Patch, table: NeighbourTable | None, k: int):
     """(settled, nn, dist): a mask of the rows whose k nearest other patch
-    points the table settles, and for those rows the points and distances
-    the patch's own cKDTree query returns (after its self-match).
+    points `table` (the cloud's NeighbourTable, or None) settles, and for
+    those rows the points and distances the patch's own cKDTree query
+    returns (after its self-match).
 
     A row is settled when its table row holds at least k other patch
     points, the nearest of them is not at distance 0 (a duplicate point
@@ -123,7 +118,6 @@ def _table_neighbours(patch: Patch, k: int):
     """
     pts = patch.relative_coords
     n = len(pts)
-    table = patch.table
     if table is None or not 0 < k < TABLE_K:
         return np.zeros(n, dtype=bool), np.empty((0, k), dtype=np.intp), np.empty((0, k))
     idx = patch.point_indices
@@ -148,7 +142,9 @@ def _table_neighbours(patch: Patch, k: int):
     return settled, cand[sel].reshape(-1, k), r[sel].reshape(-1, k)
 
 
-def segment_patch(patch: Patch, params: SegParams = SegParams()) -> PatchMask:
+def segment_patch(
+    patch: Patch, params: SegParams = SegParams(), table: NeighbourTable | None = None
+) -> PatchMask:
     """Geodesic region growing from the point nearest the patch center.
 
     k-NN graph edges longer than twice the median edge length are removed,
@@ -159,16 +155,17 @@ def segment_patch(patch: Patch, params: SegParams = SegParams()) -> PatchMask:
     seed neighborhood radius, and is 0 outside max_geodesic_radius.
 
     Each point's k nearest other patch points are those of the patch's own
-    cKDTree query.  Rows the patch's table settles (`_table_neighbours`)
-    are read from it; every other row, and every row of a patch without a
-    table, queries the patch tree.  The mask is the same either way.
+    cKDTree query.  Rows `table` (the model's `neighbour_table`) settles
+    (`_table_neighbours`) are read from it; every other row, and every row
+    when no table is given, queries the patch tree.  The mask is the same
+    either way.  A degenerate mask is the seed alone at probability 1.
     """
     pts = patch.relative_coords
     n = len(pts)
     k = min(params.knn_graph_k, n - 1)
     dist = np.empty((n, k))
     nn = np.empty((n, k), dtype=np.intp)
-    settled, table_nn, table_dist = _table_neighbours(patch, k)
+    settled, table_nn, table_dist = _table_neighbours(patch, table, k)
     nn[settled], dist[settled] = table_nn, table_dist
     rest = np.flatnonzero(~settled)
     d, j = cKDTree(pts).query(pts[rest], k=k + 1)
@@ -186,49 +183,47 @@ def segment_patch(patch: Patch, params: SegParams = SegParams()) -> PatchMask:
     g = dijkstra(graph, directed=False, indices=seed, limit=params.max_geodesic_radius)
 
     reachable = np.isfinite(g)
-    if reachable.sum() <= 1:
-        warnings.warn("patch seed is isolated; emitting a degenerate mask")
-        probs = np.zeros(n)
-        probs[seed] = 1.0
-        return PatchMask(probabilities=probs, degenerate=True)
-
-    n_core = max(1, int(round(0.05 * n)))
-    r0 = float(np.median(np.sort(g[reachable])[:n_core]))
     probs = np.zeros(n)
-    probs[reachable] = np.exp(
-        -params.prob_decay * np.maximum(0.0, g[reachable] - r0)
+    degenerate = bool(reachable.sum() <= 1)
+    if degenerate:
+        warnings.warn("patch seed is isolated; emitting a degenerate mask")
+        probs[seed] = 1.0
+    else:
+        n_core = max(1, int(round(0.05 * n)))
+        r0 = float(np.median(np.sort(g[reachable])[:n_core]))
+        probs[reachable] = np.exp(
+            -params.prob_decay * np.maximum(0.0, g[reachable] - r0)
+        )
+    keep = probs > 0
+    return PatchMask(
+        point_indices=patch.point_indices[keep],
+        distances=np.linalg.norm(pts[keep], axis=1),
+        probabilities=probs[keep],
+        degenerate=degenerate,
     )
-    return PatchMask(probabilities=probs)
 
 
-def fuse_patches(
-    model: DentalModel, patches, masks, params: SegParams = SegParams()
-) -> InstanceSegmentation:
-    """Per-point argmax fusion of patch masks into an instance labeling.
+def fuse_patches(model: DentalModel, masks, params: SegParams = SegParams()) -> np.ndarray:
+    """Per-point argmax fusion of patch masks into instance labels: 0 is
+    background, k >= 1 the k-th mask's instance.
 
-    A point takes the instance id of the patch giving it the highest
+    A point takes the instance id of the mask giving it the highest
     probability if that probability reaches accept_prob, else stays 0.
-    Exact ties go to the nearer patch center, then the lower patch index.
+    Exact ties go to the nearer patch center, then the lower mask index.
     """
-    if len(patches) != len(masks):
-        raise ValueError("patches and masks must be aligned")
     n = model.cloud.size
     best_prob = np.zeros(n)
     best_dist = np.full(n, np.inf)
     best_patch = np.full(n, -1, dtype=np.int64)
-    for j, (patch, mask) in enumerate(zip(patches, masks)):
-        idx = patch.point_indices
-        p = mask.probabilities
-        dist = np.linalg.norm(patch.relative_coords, axis=1)
+    for j, mask in enumerate(masks):
+        idx, p, dist = mask.point_indices, mask.probabilities, mask.distances
         cur_prob = best_prob[idx]
-        cur_dist = best_dist[idx]
-        win = (p > cur_prob) | ((p == cur_prob) & (p > 0) & (dist < cur_dist))
+        win = (p > cur_prob) | ((p == cur_prob) & (dist < best_dist[idx]))
         upd = idx[win]
         best_prob[upd] = p[win]
         best_dist[upd] = dist[win]
         best_patch[upd] = j
-    labels = np.where(best_prob >= params.accept_prob, best_patch + 1, 0)
-    return InstanceSegmentation(labels=labels, winning_prob=best_prob)
+    return np.where(best_prob >= params.accept_prob, best_patch + 1, 0)
 
 
 def iou_dice(pred_labels, gt_labels) -> dict:

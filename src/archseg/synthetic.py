@@ -110,8 +110,8 @@ class DentalModel:
     cloud: PointCloud
     labels: np.ndarray  # per-point instance id, 0 = gingiva, 1..T = teeth
     centroids: np.ndarray  # (T, 3) label-mask means
-    gt_arch: ArchPolyline
     config_echo: ScanConfig
+    gt_arch: ArchPolyline = field(init=False)  # build_target_arch(centroids)
 
     def __post_init__(self):
         lab = np.asarray(self.labels, dtype=np.int64)
@@ -120,6 +120,7 @@ class DentalModel:
         cen = np.asarray(self.centroids, dtype=np.float64)
         cen.setflags(write=False)
         object.__setattr__(self, "centroids", cen)
+        object.__setattr__(self, "gt_arch", build_target_arch(cen))
 
     @property
     def n_teeth(self) -> int:
@@ -265,7 +266,6 @@ def generate_model(config: ScanConfig) -> DentalModel:
         cloud=cloud,
         labels=labels,
         centroids=centroids,
-        gt_arch=build_target_arch(centroids),
         config_echo=config,
     )
 

@@ -179,10 +179,8 @@ def test_criterion_7_oracle_segmentation(benchmark_config):
     for i in range(benchmark_config.n_models):
         scan_seed, _ = model_seeds(benchmark_config, i)
         model = generate_model(with_seed(benchmark_config.scan, scan_seed))
-        patches = [crop_patch(model, c, seg) for c in model.centroids]
-        masks = [segment_patch(p, seg) for p in patches]
-        fused = fuse_patches(model, patches, masks, seg)
-        r = iou_dice(fused.labels, model.labels)
+        masks = [segment_patch(crop_patch(model, c, seg), seg) for c in model.centroids]
+        r = iou_dice(fuse_patches(model, masks, seg), model.labels)
         ious.append(r["mean_iou"])
         dices.append(r["mean_dice"])
     elapsed = time.perf_counter() - t0

@@ -8,6 +8,7 @@ from archseg import io as aio
 from archseg.cli import main, render_table
 from archseg.segmentation import crop_patch, fuse_patches, neighbour_table, segment_patch
 from archseg.synthetic import generate_model, with_seed
+from test_segmentation import fuse_patches_reference, segment_patch_reference
 
 TINY_CONFIG = {
     "n_models": 2,
@@ -193,6 +194,7 @@ class TestRun:
                 dict(TINY_CONFIG, segmentation={"patch_size": 1}),
                 "patch_size must be >= 2", id="patch_size_1",
             ),
+            pytest.param(dict(TINY_CONFIG, seed=-1), "seed must be >= 0", id="seed"),
         ],
     )
     def test_cross_field_config_exit_2(self, tmp_path, capsys, config, message):
@@ -211,6 +213,21 @@ class TestRun:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and f"'{section}'" in err[0]
+
+    @pytest.mark.parametrize("config", [[1], None, "x"])
+    def test_non_object_config_exit_2(self, tmp_path, capsys, config):
+        bad = tmp_path / "list.json"
+        bad.write_text(json.dumps(config))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "a config must be a JSON object" in err[0]
+
+    def test_negative_seed_flag_exit_2(self, tmp_path, config_path, capsys):
+        out = tmp_path / "o"
+        assert main(["generate", "--config", str(config_path), "--out", str(out),
+                     "--seed", "-1"]) == 2
+        assert "seed must be >= 0" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_jobs_below_one_exit_2(self, tmp_path, config_path, capsys):
         out = tmp_path / "o"
@@ -373,26 +390,23 @@ class TestSharedStages:
         assert len(shared) < len(crops)
 
     def test_positive_part_fuses_like_full_masks(self, benchmark_config):
-        """Fusing only each mask's points with probability > 0 gives the
-        labels and winning probabilities the full masks give (pinned models
-        0-4, a patch at every ground-truth centroid)."""
+        """Fusing the stored masks, which hold only each patch's points with
+        probability > 0, gives the labels that fusing every patch point's
+        reference probability gives (pinned models 0-4, a patch at every
+        ground-truth centroid)."""
         params = benchmark_config.segmentation
         for i in range(5):
             scan_seed, _ = pipeline.model_seeds(benchmark_config, i)
             model = generate_model(with_seed(benchmark_config.scan, scan_seed))
             table = neighbour_table(model.cloud.points)
-            patches = [crop_patch(model, c, params, table) for c in model.centroids]
-            masks = [segment_patch(p, params) for p in patches]
-            parts = [pipeline.positive_part(p, m) for p, m in zip(patches, masks)]
-            assert sum(len(m.probabilities) for _, m in parts) < sum(
-                len(m.probabilities) for m in masks
+            patches = [crop_patch(model, c, params) for c in model.centroids]
+            masks = [segment_patch(p, params, table) for p in patches]
+            full = [segment_patch_reference(p, params)[0] for p in patches]
+            assert sum(len(m.probabilities) for m in masks) < sum(len(p) for p in full)
+            np.testing.assert_array_equal(
+                fuse_patches(model, masks, params),
+                fuse_patches_reference(model, patches, full, params),
             )
-            full = fuse_patches(model, patches, masks, params)
-            compact = fuse_patches(
-                model, [p for p, _ in parts], [m for _, m in parts], params
-            )
-            np.testing.assert_array_equal(compact.labels, full.labels)
-            np.testing.assert_array_equal(compact.winning_prob, full.winning_prob)
 
 
 class TestEvalAndReport:

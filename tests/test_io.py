@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from archseg import io as aio
+from archseg.arch import build_target_arch
 from archseg.pipeline import load_config, model_seeds
 from archseg.synthetic import ScanConfig, generate_model, with_seed
 
@@ -99,8 +100,7 @@ class TestModelRoundTrip:
         aio.save_model(model, tmp_path / "m.ply", tmp_path / "m.json")
         with open(tmp_path / "m.json") as fh:
             sidecar = json.load(fh)
-        assert set(sidecar) == {"centroids", "arch", "config"}
-        assert len(sidecar["arch"]) == 32
+        assert set(sidecar) == {"centroids", "config"}
 
     def test_loads_sidecar_with_bezier_control(self, tmp_path, model):
         """Sidecars written before the ground-truth Bézier was dropped carry
@@ -110,6 +110,18 @@ class TestModelRoundTrip:
         sidecar["bezier_control"] = np.eye(4, 3).tolist()
         (tmp_path / "m.json").write_text(json.dumps(sidecar))
         assert_same_model(aio.load_model(tmp_path / "m.ply", tmp_path / "m.json"), model)
+
+    def test_arch_derived_from_centroids(self, tmp_path, model):
+        """Sidecars written before the arch was derived on load carry an
+        `arch` key; it loads, but the model's arch comes from its centroids
+        even where the two disagree."""
+        aio.save_model(model, tmp_path / "m.ply", tmp_path / "m.json")
+        sidecar = json.loads((tmp_path / "m.json").read_text())
+        sidecar["arch"] = (model.gt_arch.points + 0.5).tolist()
+        (tmp_path / "m.json").write_text(json.dumps(sidecar))
+        loaded = aio.load_model(tmp_path / "m.ply", tmp_path / "m.json")
+        assert_same_model(loaded, model)
+        assert np.array_equal(loaded.gt_arch.points, build_target_arch(loaded.centroids).points)
 
     def test_missing_labels_rejected(self, tmp_path, model):
         aio.write_ply(tmp_path / "nolab.ply", model.cloud.points)

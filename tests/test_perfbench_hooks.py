@@ -1,0 +1,56 @@
+"""The benchmark times archseg from outside by rebinding module attributes
+(`perfbench/spans.py`'s BINDINGS, and the bindings `perfbench/workloads.py`
+patches).  A rename in `src/archseg` would break the benchmark silently, so
+these tests read the benchmark's own tables and check that each hook still
+lands on the program."""
+
+import importlib
+import importlib.util
+import sys
+from pathlib import Path
+
+from archseg import cli, pipeline
+from archseg.pipeline import ExperimentConfig
+
+SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+
+
+def load_spans():
+    """perfbench/spans.py as a module, without adding perfbench to sys.path
+    (its dataclasses need the module registered while it executes)."""
+    name = "perfbench_spans"
+    if name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(name, SPANS_PATH)
+        sys.modules[name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[name])
+    return sys.modules[name]
+
+
+def test_every_binding_resolves_to_a_callable():
+    for module_name, attr, _, _ in load_spans().BINDINGS:
+        module = importlib.import_module(f"archseg.{module_name}")
+        assert callable(getattr(module, attr, None)), f"archseg.{module_name}.{attr}"
+
+
+def test_workload_patch_targets_exist():
+    # workloads.captured_reports wraps the first two, timed_generation the third
+    for module, attr in [(cli, "run_dataset"), (cli, "run_models"),
+                         (pipeline, "generate_model")]:
+        assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_traced_run_counts_segment_spans():
+    spans = load_spans()
+    config = ExperimentConfig.from_dict({
+        "n_models": 1,
+        "scan": {"n_points": 1200, "n_teeth": 8},
+        "vote_subsample": 400,
+        "segmentation": {"patch_size": 256, "prob_decay": 2.0},
+    })
+    with spans.installed(spans.Tracer()) as tracer:
+        report = pipeline.run_dataset(config)
+    assert not report.failures
+    segments = [s for s in tracer.spans if s.name == "segmentation.segment"]
+    assert len(segments) == report.per_model[0]["n_detected"] > 0
+    assert all(s.counts.keys() == {"patches", "degenerate"} for s in segments)
+    assert all(s.model == 0 for s in segments)

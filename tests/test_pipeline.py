@@ -20,7 +20,7 @@ from archseg.pipeline import (
     save_config,
     stage_keys,
 )
-from archseg.segmentation import SegParams
+from archseg.segmentation import PatchMask, SegParams
 from archseg.synthetic import ScanConfig, VoteNoiseModel, generate_model, with_seed
 
 TINY = ExperimentConfig(
@@ -367,8 +367,10 @@ class TestStages:
         )
         for key in staged_outputs:
             if stage_name(key) == "segment":
-                (patch, mask), (pooled_patch, pooled_mask) = staged_outputs[key], pooled[0][key]
-                np.testing.assert_array_equal(pooled_patch.point_indices, patch.point_indices)
+                mask, pooled_mask = staged_outputs[key], pooled[0][key]
+                assert isinstance(mask, PatchMask) and isinstance(pooled_mask, PatchMask)
+                np.testing.assert_array_equal(pooled_mask.point_indices, mask.point_indices)
+                np.testing.assert_array_equal(pooled_mask.distances, mask.distances)
                 np.testing.assert_array_equal(pooled_mask.probabilities, mask.probabilities)
 
     def test_run_models_stores_per_model(self):

@@ -36,6 +36,34 @@ def params():
     return SegParams(patch_size=512, prob_decay=2.0)
 
 
+def patch_probabilities(patch, mask):
+    """The mask's probabilities scattered back onto its patch: 0 at every
+    patch point the mask leaves out."""
+    probs = np.zeros(len(patch.point_indices))
+    probs[np.isin(patch.point_indices, mask.point_indices)] = mask.probabilities
+    return probs
+
+
+def fuse_patches_reference(model, patches, probabilities, params):
+    """The full-patch fusion `fuse_patches` replaced: one probability per
+    patch point, where a point at probability 0 never wins."""
+    n = model.cloud.size
+    best_prob = np.zeros(n)
+    best_dist = np.full(n, np.inf)
+    best_patch = np.full(n, -1, dtype=np.int64)
+    for j, (patch, p) in enumerate(zip(patches, probabilities)):
+        idx = patch.point_indices
+        dist = np.linalg.norm(patch.relative_coords, axis=1)
+        cur_prob = best_prob[idx]
+        cur_dist = best_dist[idx]
+        win = (p > cur_prob) | ((p == cur_prob) & (p > 0) & (dist < cur_dist))
+        upd = idx[win]
+        best_prob[upd] = p[win]
+        best_dist[upd] = dist[win]
+        best_patch[upd] = j
+    return np.where(best_prob >= params.accept_prob, best_patch + 1, 0)
+
+
 class TestCropPatch:
     def test_matches_k_nearest(self, model, params):
         center = model.centroids[3]
@@ -61,24 +89,24 @@ class TestSegmentPatch:
     def test_probabilities_in_range_and_monotone(self, model, params):
         patch = crop_patch(model, model.centroids[2], params)
         mask = segment_patch(patch, params)
-        assert (mask.probabilities >= 0).all() and (mask.probabilities <= 1).all()
+        assert (mask.probabilities > 0).all() and (mask.probabilities <= 1).all()
         assert mask.probabilities.max() == 1.0
 
     def test_covers_own_tooth(self, model, params):
         for k in (1, 5, 9):
             patch = crop_patch(model, model.centroids[k - 1], params)
-            mask = segment_patch(patch, params)
+            probs = patch_probabilities(patch, segment_patch(patch, params))
             patch_labels = model.labels[patch.point_indices]
             own = patch_labels == k
-            accepted = mask.probabilities >= params.accept_prob
+            accepted = probs >= params.accept_prob
             iou = (own & accepted).sum() / (own | accepted).sum()
             assert iou > 0.85
 
     def test_excludes_gingiva(self, model, params):
         patch = crop_patch(model, model.centroids[4], params)
-        mask = segment_patch(patch, params)
+        probs = patch_probabilities(patch, segment_patch(patch, params))
         gum = model.labels[patch.point_indices] == 0
-        leak = (mask.probabilities[gum] >= params.accept_prob).mean() if gum.any() else 0
+        leak = (probs[gum] >= params.accept_prob).mean() if gum.any() else 0
         assert leak < 0.05
 
     def test_isolated_seed_degenerate(self):
@@ -101,57 +129,39 @@ class TestSegmentPatch:
             mask = segment_patch(patch, SegParams(patch_size=64))
         assert mask.degenerate
         assert mask.probabilities.sum() == 1.0
+        assert np.array_equal(mask.point_indices, [63])
+
+
+def origin_mask(model, idx, probabilities):
+    """A mask over cloud points `idx` of a patch centred at the origin."""
+    dist = np.linalg.norm(model.cloud.points[idx], axis=1)
+    return PatchMask(idx, dist, np.asarray(probabilities, dtype=np.float64))
 
 
 class TestFusePatches:
     def test_single_patch_full_cover(self, model):
-        from archseg.segmentation import Patch, PatchMask
-
         n = model.cloud.size
-        patch = Patch(
-            center=np.zeros(3),
-            point_indices=np.arange(n),
-            relative_coords=model.cloud.points,
-        )
-        mask = PatchMask(probabilities=np.ones(n))
-        fused = fuse_patches(model, [patch], [mask])
-        assert (fused.labels == 1).all()
+        labels = fuse_patches(model, [origin_mask(model, np.arange(n), np.ones(n))])
+        assert (labels == 1).all()
 
     def test_disjoint_patches(self, model):
-        from archseg.segmentation import Patch, PatchMask
-
-        pts = model.cloud.points
         a = np.arange(0, 100)
         b = np.arange(100, 200)
-        patches = [
-            Patch(np.zeros(3), a, pts[a]),
-            Patch(np.zeros(3), b, pts[b]),
-        ]
-        masks = [PatchMask(np.ones(100)), PatchMask(np.full(100, 0.6))]
-        fused = fuse_patches(model, patches, masks)
-        assert (fused.labels[a] == 1).all()
-        assert (fused.labels[b] == 2).all()
-        assert (fused.labels[200:] == 0).all()
+        masks = [origin_mask(model, a, np.ones(100)), origin_mask(model, b, np.full(100, 0.6))]
+        labels = fuse_patches(model, masks)
+        assert (labels[a] == 1).all()
+        assert (labels[b] == 2).all()
+        assert (labels[200:] == 0).all()
 
     def test_argmax_conflict_resolution(self, model):
-        from archseg.segmentation import Patch, PatchMask
-
-        pts = model.cloud.points
         idx = np.arange(50)
-        patches = [Patch(np.zeros(3), idx, pts[idx]), Patch(np.zeros(3), idx, pts[idx])]
-        p1 = np.full(50, 0.7)
-        p2 = np.full(50, 0.9)
-        fused = fuse_patches(model, patches, [PatchMask(p1), PatchMask(p2)])
-        assert (fused.labels[idx] == 2).all()
-        assert np.allclose(fused.winning_prob[idx], 0.9)
+        masks = [origin_mask(model, idx, np.full(50, 0.7)), origin_mask(model, idx, np.full(50, 0.9))]
+        labels = fuse_patches(model, masks)
+        assert (labels[idx] == 2).all()
 
     def test_below_accept_prob_unlabeled(self, model):
-        from archseg.segmentation import Patch, PatchMask
-
-        idx = np.arange(30)
-        patch = Patch(np.zeros(3), idx, model.cloud.points[idx])
-        fused = fuse_patches(model, [patch], [PatchMask(np.full(30, 0.4))])
-        assert (fused.labels == 0).all()
+        labels = fuse_patches(model, [origin_mask(model, np.arange(30), np.full(30, 0.4))])
+        assert (labels == 0).all()
 
 
 class TestIoUDice:
@@ -168,10 +178,8 @@ class TestIoUDice:
         assert r["mean_dice"] == pytest.approx(200 / 3)
 
     def test_dice_iou_identity(self, model, params):
-        patches = [crop_patch(model, c, params) for c in model.centroids]
-        masks = [segment_patch(p, params) for p in patches]
-        fused = fuse_patches(model, patches, masks, params)
-        r = iou_dice(fused.labels, model.labels)
+        masks = [segment_patch(crop_patch(model, c, params), params) for c in model.centroids]
+        r = iou_dice(fuse_patches(model, masks, params), model.labels)
         for row in r["per_instance"]:
             if row["pred_id"] is not None:
                 iou = row["iou"] / 100
@@ -308,7 +316,8 @@ def crop_patch_reference(model, center, params):
 
 def segment_patch_reference(patch, params):
     """The per-patch-tree `segment_patch` the table replaced (its warning
-    dropped): the oracle masks must match bit for bit."""
+    dropped), returning (probabilities, degenerate) with one probability per
+    patch point: a mask must be its probability > 0 part, bit for bit."""
     pts = patch.relative_coords
     n = len(pts)
     k = min(params.knn_graph_k, n - 1)
@@ -326,37 +335,42 @@ def segment_patch_reference(patch, params):
     probs = np.zeros(n)
     if reachable.sum() <= 1:
         probs[seed] = 1.0
-        return PatchMask(probabilities=probs, degenerate=True)
+        return probs, True
     n_core = max(1, int(round(0.05 * n)))
     r0 = float(np.median(np.sort(g[reachable])[:n_core]))
     probs[reachable] = np.exp(-params.prob_decay * np.maximum(0.0, g[reachable] - r0))
-    return PatchMask(probabilities=probs)
+    return probs, False
 
 
 def assert_patches_match_reference(model, centers, params, untabled=True):
-    """Each centre's patch and mask, with the model's table, without one
-    (if `untabled`) and by the reference, are bitwise equal; returns the
-    settled-row count and the row count."""
+    """Each centre's patch, and its mask with the model's table and without
+    one (if `untabled`), are bitwise the reference's (for the mask, the
+    reference's probability > 0 part); returns the settled-row count and
+    the row count."""
     table = neighbour_table(model.cloud.points)
     settled = rows = 0
     for center in centers:
-        patch = crop_patch(model, center, params, table)
+        patch = crop_patch(model, center, params)
         want = crop_patch_reference(model, center, params)
         assert np.array_equal(patch.point_indices, want.point_indices)
         assert np.array_equal(patch.relative_coords, want.relative_coords)
-        patches = [patch]
-        if untabled:
-            patches.append(Patch(patch.center, patch.point_indices, patch.relative_coords))
         with warnings.catch_warnings():  # degenerate patches warn
             warnings.simplefilter("ignore")
-            masks = [segment_patch(p, params) for p in patches]
-        ref = segment_patch_reference(want, params)
+            masks = [segment_patch(patch, params, table)]
+            if untabled:
+                masks.append(segment_patch(patch, params))
+        probs, degenerate = segment_patch_reference(want, params)
+        keep = probs > 0
         for mask in masks:
-            assert mask.degenerate == ref.degenerate
-            assert np.array_equal(mask.probabilities, ref.probabilities)
+            assert mask.degenerate == degenerate
+            assert np.array_equal(mask.point_indices, want.point_indices[keep])
+            assert np.array_equal(mask.probabilities, probs[keep])
+            assert np.array_equal(
+                mask.distances, np.linalg.norm(want.relative_coords[keep], axis=1)
+            )
         # the settled rows hold the neighbours the patch tree gives them
         k = min(params.knn_graph_k, len(patch.point_indices) - 1)
-        rows_settled, nn, dist = _table_neighbours(patch, k)
+        rows_settled, nn, dist = _table_neighbours(patch, table, k)
         tree_dist, tree_nn = cKDTree(want.relative_coords).query(
             want.relative_coords[rows_settled], k=k + 1
         )
@@ -416,8 +430,10 @@ class TestPatchEquivalence:
         model = types.SimpleNamespace(cloud=PointCloud(pts))
         params = SegParams(patch_size=len(pts))
         assert_patches_match_reference(model, [np.zeros(3)], params)
-        ref = segment_patch_reference(crop_patch_reference(model, np.zeros(3), params), params)
-        assert ref.degenerate
+        _, degenerate = segment_patch_reference(
+            crop_patch_reference(model, np.zeros(3), params), params
+        )
+        assert degenerate
 
     def test_cut_off_row_and_duplicate_pair(self):
         """A point whose k-NN edges are all cut leaves its graph row empty,
@@ -440,7 +456,7 @@ class TestPatchEquivalence:
         assert dist[row, 1] > 2.0 * np.median(dist[:, 1:])
         assert_patches_match_reference(model, [np.zeros(3), cut_off], params)
         cut_patch = crop_patch_reference(model, cut_off, params)
-        assert segment_patch_reference(cut_patch, params).degenerate
+        assert segment_patch_reference(cut_patch, params)[1]
 
     def test_knn_graph_k_beyond_table(self, model):
         """With k >= TABLE_K no row is settled and the tree does it all."""
