@@ -159,6 +159,14 @@ class TestFusePatches:
         labels = fuse_patches(model, masks)
         assert (labels[idx] == 2).all()
 
+    def test_exact_tie_goes_to_nearer_center_then_lower_index(self, model):
+        idx = np.arange(40)
+        p = np.full(40, 0.8)
+        far, near = PatchMask(idx, np.full(40, 2.0), p), PatchMask(idx, np.full(40, 1.0), p)
+        assert (fuse_patches(model, [far, near])[idx] == 2).all()
+        assert (fuse_patches(model, [near, far])[idx] == 1).all()
+        assert (fuse_patches(model, [near, near])[idx] == 1).all()
+
     def test_below_accept_prob_unlabeled(self, model):
         labels = fuse_patches(model, [origin_mask(model, np.arange(30), np.full(30, 0.4))])
         assert (labels == 0).all()
