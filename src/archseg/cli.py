@@ -32,7 +32,7 @@ from .pipeline import (
     run_models,
 )
 from .segmentation import iou_dice
-from .synthetic import generate_model, with_seed
+from .synthetic import generate_model
 
 EXIT_OK = 0
 EXIT_MODEL_FAILURE = 1
@@ -94,7 +94,7 @@ def cmd_generate(args) -> int:
     entries = []
     for i in range(config.n_models):
         scan_seed, _ = model_seeds(config, i)
-        model = generate_model(with_seed(config.scan, scan_seed))
+        model = generate_model(config.scan, scan_seed)
         ply, sidecar = f"model_{i:04d}.ply", f"model_{i:04d}.json"
         aio.save_model(model, out / ply, out / sidecar)
         entry = {"index": i, "ply": ply, "json": sidecar, "split": "full"}

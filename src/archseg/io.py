@@ -13,7 +13,7 @@ from pathlib import Path
 import numpy as np
 
 from .geometry import PointCloud
-from .synthetic import DentalModel, ScanConfig, config_from_dict
+from .synthetic import DentalModel
 
 
 def write_ply(path, points: np.ndarray, labels=None) -> None:
@@ -64,15 +64,15 @@ def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
 
 def save_model(model: DentalModel, ply_path, json_path) -> None:
     write_ply(ply_path, model.cloud.points, model.labels)
-    sidecar = {
-        "centroids": model.centroids.tolist(),
-        "config": model.config_echo.to_dict(),
-    }
+    sidecar = {"centroids": model.centroids.tolist()}
     with open(json_path, "w") as fh:
         json.dump(sidecar, fh, indent=1, sort_keys=True)
 
 
 def load_model(ply_path, json_path) -> DentalModel:
+    """The model of a PLY + sidecar pair; sidecar keys other than
+    `centroids` (older versions also wrote `config`, `arch` or
+    `bezier_control`) are ignored."""
     points, labels = read_ply(ply_path)
     if labels is None:
         raise ValueError(f"{ply_path}: missing instance labels")
@@ -82,7 +82,6 @@ def load_model(ply_path, json_path) -> DentalModel:
         cloud=PointCloud(points),
         labels=labels,
         centroids=np.asarray(sidecar["centroids"], dtype=np.float64),
-        config_echo=config_from_dict(ScanConfig, sidecar["config"]),
     )
 
 

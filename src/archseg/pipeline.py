@@ -18,11 +18,12 @@ the outputs whose config slice it shares (as the ablation commands do).
 from __future__ import annotations
 
 import json
+import math
 import time
 import traceback
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field, fields, is_dataclass, replace
 
 import numpy as np
 
@@ -59,15 +60,7 @@ from .segmentation import (
     neighbour_table,
     segment_patch,
 )
-from .synthetic import (
-    DentalModel,
-    ScanConfig,
-    VoteNoiseModel,
-    config_from_dict,
-    generate_model,
-    simulate_votes,
-    with_seed,
-)
+from .synthetic import DentalModel, ScanConfig, VoteNoiseModel, generate_model, simulate_votes
 
 ARCH_MODES = ("direct_fit", "coarse", "coarse_fine")
 SAMPLING_METHODS = ("aps", "fps", "random")
@@ -104,6 +97,10 @@ class ExperimentConfig:
             raise ValueError("vote_subsample must be >= 1")
         if self.pregroup_radius <= 0:
             raise ValueError("pregroup_radius must be positive")
+        if not 0.0 <= self.pregroup_min_size_frac <= 1.0:
+            raise ValueError(
+                f"pregroup_min_size_frac must be in [0, 1], got {self.pregroup_min_size_frac}"
+            )
         n_points = self.scan.n_points
         if self.vote_subsample > n_points:
             raise ValueError(
@@ -119,43 +116,66 @@ class ExperimentConfig:
                 f"segmentation.patch_size {self.segmentation.patch_size} exceeds "
                 f"scan.n_points {n_points}"
             )
-        if self.scan.seed != ScanConfig.seed:
-            raise ValueError(
-                f"scan.seed {self.scan.seed} is not used: each model's scan seed "
-                "derives from the top-level 'seed'; set that instead"
-            )
-        if self.noise.seed != VoteNoiseModel.seed:
-            raise ValueError(
-                f"noise.seed {self.noise.seed} is not used: each model's vote seed "
-                "derives from the top-level 'seed'; set that instead"
-            )
 
     def to_dict(self) -> dict:
-        d = asdict(self)
-        d["scan"] = self.scan.to_dict()
-        return d
+        """JSON-ready form: each section a dict, arrays and tuples lists."""
+        return _encode(self)
 
     @classmethod
     def from_dict(cls, d: dict) -> "ExperimentConfig":
         """Inverse of `to_dict`; a missing key keeps its default and an
-        unknown key raises ValueError."""
+        invalid one raises ValueError (see `config_from_dict`)."""
         if not isinstance(d, dict):
             raise ValueError(f"a config must be a JSON object, got {d!r}")
-        d = dict(d)
-        for key, klass in [
-            ("scan", ScanConfig),
-            ("noise", VoteNoiseModel),
-            ("sampling", SamplingParams),
-            ("detection", DetectionParams),
-            ("loss", DetectionLossParams),
-            ("refine", RefineParams),
-            ("segmentation", SegParams),
-        ]:
-            if key in d:
-                if not isinstance(d[key], dict):
-                    raise ValueError(f"config section '{key}' must be an object")
-                d[key] = config_from_dict(klass, d[key])
         return config_from_dict(cls, d)
+
+
+def _encode(value):
+    """A config dataclass as a dict of its encoded fields; an array or a
+    tuple as a list; any other value as itself."""
+    if is_dataclass(value):
+        return {f.name: _encode(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, tuple):
+        return list(value)
+    return value
+
+
+def config_from_dict(klass, d: dict):
+    """`klass(**d)` for a config dataclass.  A section (a field whose default
+    is a config dataclass) is decoded from its own object the same way.
+    Every error is a ValueError that names an unknown key, a section that is
+    not an object, a scalar key whose JSON type is not its default's (a
+    float field also takes an int; a bool is not an int), a non-finite
+    float, or the class."""
+    name = klass.__name__
+    kinds = {
+        f.name: f.default_factory if is_dataclass(f.default_factory) else type(f.default)
+        for f in fields(klass)
+    }
+    unknown = set(d) - set(kinds)
+    if unknown:
+        raise ValueError(f"unknown {name} key(s): {', '.join(sorted(unknown))}")
+    decoded = {}
+    for key, value in d.items():
+        kind = kinds[key]
+        if is_dataclass(kind):
+            if not isinstance(value, dict):
+                raise ValueError(f"config section '{key}' must be an object")
+            value = config_from_dict(kind, value)
+        elif kind in (bool, int, float, str) and (
+            not isinstance(value, (int, float) if kind is float else kind)
+            or isinstance(value, bool) != (kind is bool)
+        ):
+            raise ValueError(f"{name} key '{key}' must be {kind.__name__}, got {value!r}")
+        elif isinstance(value, float) and not math.isfinite(value):
+            raise ValueError(f"{name} key '{key}' must be finite, got {value!r}")
+        decoded[key] = value
+    try:
+        return klass(**decoded)
+    except TypeError as exc:
+        raise ValueError(f"invalid {name}: {exc}") from None
 
 
 def load_config(path) -> ExperimentConfig:
@@ -178,17 +198,10 @@ def model_seeds(config: ExperimentConfig, index: int) -> tuple[int, int]:
 # and the config fields it reads ("a.b" is field b of section a).  A stored
 # stage output is keyed by the values of its own fields and of every stage
 # it extends (`stage_keys`).  "table" reads only the fields that make the
-# model; "votes" does not read noise.seed, which `run_model` replaces with
-# the model's vote seed; a "segment" output is stored per retained centroid.
+# model; a "segment" output is stored per retained centroid.
 STAGE_FIELDS = (
     ("table", None, ("scan", "seed")),
-    ("votes", "table", (
-        "vote_subsample",
-        "noise.tooth_vote_sigma",
-        "noise.gingiva_vote_mode",
-        "noise.clutter_fraction",
-        "noise.clutter_sigma",
-    )),
+    ("votes", "table", ("vote_subsample", "noise")),
     ("pregroup", "votes", ("pregroup_radius", "pregroup_min_size_frac")),
     ("bezier", "pregroup", ()),
     ("refine", "bezier", ("refine",)),
@@ -278,9 +291,8 @@ def run_model(
     """
     t0 = time.perf_counter()
     keys = None if stages is None else stage_keys(config)
-    noise = replace(config.noise, seed=vote_seed)
     votes = _stage(stages, keys, "votes", lambda: simulate_votes(
-        model, config.vote_subsample, noise
+        model, config.vote_subsample, config.noise, vote_seed
     ))
     arch = estimate_arch(votes, config, stages, keys)
     selected = _stage(stages, keys, "select", lambda: select_votes(
@@ -372,7 +384,7 @@ def _run_one(args):
     config, index, model, stored = args
     scan_seed, vote_seed = model_seeds(config, index)
     if model is None:
-        model = generate_model(with_seed(config.scan, scan_seed))
+        model = generate_model(config.scan, scan_seed)
     stages = None if stored is None else dict(stored)
     metrics = run_model(model, config, vote_seed, stages)
     return metrics, None if stages is None else {

@@ -9,7 +9,7 @@ are either suppressed or emit near-gum clutter votes.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -45,16 +45,15 @@ class ScanConfig:
     missing_tooth_prob: float = 0.0
     crowding_jitter: float = 0.0
     misalignment_angle_max: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         try:
             ctrl = np.asarray(self.arch_control, dtype=np.float64)
         except (TypeError, ValueError):
             ctrl = None
-        if ctrl is None or ctrl.shape != (4, 3):
+        if ctrl is None or ctrl.shape != (4, 3) or not np.isfinite(ctrl).all():
             raise ValueError(
-                f"ScanConfig key 'arch_control' must be a (4, 3) array of numbers, "
+                f"ScanConfig key 'arch_control' must be a (4, 3) array of finite numbers, "
                 f"got {self.arch_control!r}"
             )
         ctrl.setflags(write=False)
@@ -65,42 +64,14 @@ class ScanConfig:
         if self.n_points < self.n_teeth * 64:
             raise ValueError("n_points must be at least 64 per tooth")
         lo, hi = self.tooth_radius_range
-        if not 0 < lo <= hi:
-            raise ValueError("tooth radii must be positive and ordered")
+        if not 0 < lo <= hi < np.inf:
+            raise ValueError("tooth radii must be finite, positive and ordered")
         if not 0.0 <= self.missing_tooth_prob <= 1.0:
             raise ValueError("missing_tooth_prob must be a probability")
         if self.crowding_jitter < 0 or self.misalignment_angle_max < 0:
             raise ValueError("jitter and misalignment must be non-negative")
         if self.gingiva_band_width <= 0:
             raise ValueError("gingiva_band_width must be positive")
-
-    def to_dict(self) -> dict:
-        """JSON-ready form; `config_from_dict(ScanConfig, d)` inverts it."""
-        d = asdict(self)
-        d["arch_control"] = self.arch_control.tolist()
-        d["tooth_radius_range"] = list(self.tooth_radius_range)
-        return d
-
-
-def config_from_dict(klass, d: dict):
-    """`klass(**d)` for a config dataclass.  Every error is a ValueError that
-    names an unknown key, a scalar key whose JSON type is not its default's
-    (a float field also takes an int; a bool is not an int), or the class."""
-    defaults = {f.name: f.default for f in fields(klass)}
-    unknown = set(d) - set(defaults)
-    if unknown:
-        raise ValueError(f"unknown {klass.__name__} key(s): {', '.join(sorted(unknown))}")
-    for key, value in d.items():
-        kind = type(defaults[key])
-        accepted = (int, float) if kind is float else kind
-        if kind in (bool, int, float, str) and (
-            not isinstance(value, accepted) or isinstance(value, bool) != (kind is bool)
-        ):
-            raise ValueError(f"{klass.__name__} key '{key}' must be {kind.__name__}, got {value!r}")
-    try:
-        return klass(**d)
-    except TypeError as exc:
-        raise ValueError(f"invalid {klass.__name__}: {exc}") from None
 
 
 @dataclass(frozen=True)
@@ -110,7 +81,6 @@ class DentalModel:
     cloud: PointCloud
     labels: np.ndarray  # per-point instance id, 0 = gingiva, 1..T = teeth
     centroids: np.ndarray  # (T, 3) label-mask means
-    config_echo: ScanConfig
     gt_arch: ArchPolyline = field(init=False)  # build_target_arch(centroids)
 
     def __post_init__(self):
@@ -162,7 +132,6 @@ class VoteNoiseModel:
     gingiva_vote_mode: str = "suppressed"  # or "clutter"
     clutter_fraction: float = 0.0
     clutter_sigma: float = 0.02
-    seed: int = 0
 
     def __post_init__(self):
         if self.gingiva_vote_mode not in ("suppressed", "clutter"):
@@ -196,12 +165,12 @@ def _rotation_matrix(axis: np.ndarray, angle: float) -> np.ndarray:
     return np.eye(3) + np.sin(angle) * k + (1 - np.cos(angle)) * (k @ k)
 
 
-def generate_model(config: ScanConfig) -> DentalModel:
+def generate_model(config: ScanConfig, seed: int) -> DentalModel:
     """Build one labeled scan: teeth blobs along the arch plus a gingiva band.
 
-    Fully deterministic per config (including its seed).
+    Fully deterministic per (config, seed).
     """
-    rng = np.random.default_rng(config.seed)
+    rng = np.random.default_rng(seed)
     curve = BezierCurve(config.arch_control)
     n_teeth = config.n_teeth
 
@@ -262,15 +231,12 @@ def generate_model(config: ScanConfig) -> DentalModel:
     centroids = np.stack(
         [cloud.points[labels == k].mean(axis=0) for k in range(1, n_instances + 1)]
     )
-    return DentalModel(
-        cloud=cloud,
-        labels=labels,
-        centroids=centroids,
-        config_echo=config,
-    )
+    return DentalModel(cloud=cloud, labels=labels, centroids=centroids)
 
 
-def simulate_votes(model: DentalModel, subsample: int, noise: VoteNoiseModel) -> Votes:
+def simulate_votes(
+    model: DentalModel, subsample: int, noise: VoteNoiseModel, seed: int
+) -> Votes:
     """Simulated Hough votes for FPS-selected seed points, in seed order.
 
     Tooth seeds vote toward their instance centroid (plus Gaussian noise);
@@ -281,7 +247,7 @@ def simulate_votes(model: DentalModel, subsample: int, noise: VoteNoiseModel) ->
     if subsample > model.cloud.size:
         raise ValueError("subsample exceeds cloud size")
     seeds = farthest_point_sampling(model.cloud, subsample)
-    rng = np.random.default_rng(noise.seed)
+    rng = np.random.default_rng(seed)
     tooth_noise = rng.normal(0.0, 1.0, (subsample, 3))
     keep_draw = rng.random(subsample)
     clutter_noise = rng.normal(0.0, 1.0, (subsample, 3))
@@ -314,7 +280,3 @@ def ground_truth_offsets(model: DentalModel, seed_indices) -> np.ndarray:
     d = np.linalg.norm(pts[:, None, :] - cen[None, :, :], axis=2)
     nearest = np.argmin(d, axis=1)
     return cen[nearest] - pts
-
-
-def with_seed(config: ScanConfig, seed: int) -> ScanConfig:
-    return replace(config, seed=seed)

@@ -33,7 +33,6 @@ from archseg.synthetic import (
     VoteNoiseModel,
     Votes,
     generate_model,
-    with_seed,
 )
 
 
@@ -178,7 +177,7 @@ def test_criterion_7_oracle_segmentation(benchmark_config):
     ious, dices = [], []
     for i in range(benchmark_config.n_models):
         scan_seed, _ = model_seeds(benchmark_config, i)
-        model = generate_model(with_seed(benchmark_config.scan, scan_seed))
+        model = generate_model(benchmark_config.scan, scan_seed)
         masks = [segment_patch(crop_patch(model, c, seg), seg) for c in model.centroids]
         r = iou_dice(fuse_patches(model, masks, seg), model.labels)
         ious.append(r["mean_iou"])
@@ -239,8 +238,8 @@ def test_criterion_9_nms_and_sampling_invariants(full_report, benchmark_config):
     from archseg.detection import group_votes, make_proposals, nms
     from archseg.synthetic import simulate_votes
 
-    model = generate_model(with_seed(benchmark_config.scan, 0))
-    vts = simulate_votes(model, 1024, benchmark_config.noise)
+    model = generate_model(benchmark_config.scan, 0)
+    vts = simulate_votes(model, 1024, benchmark_config.noise, 0)
     s = arch_aware_sampling(vts, model.gt_arch, benchmark_config.sampling)
     props = make_proposals(group_votes(s, vts, 0.1), vts)
     kept = props.position[nms(props, benchmark_config.detection.nms_radius, 20)]

@@ -17,14 +17,14 @@ from archseg import pipeline
 from archseg.arch import arch_mse
 from archseg.bezier import fit_bezier
 from archseg.pipeline import estimate_arch, model_seeds
-from archseg.synthetic import generate_model, with_seed
+from archseg.synthetic import generate_model
 
 
 @pytest.fixture(scope="module")
 def pinned_votes(benchmark_config, pinned_votes_by_index):
     """(model, votes) per pinned model, the votes `full_report` simulated."""
     return [
-        (generate_model(with_seed(benchmark_config.scan, model_seeds(benchmark_config, i)[0])),
+        (generate_model(benchmark_config.scan, model_seeds(benchmark_config, i)[0]),
          votes)
         for i, votes in enumerate(pinned_votes_by_index)
     ]

@@ -7,7 +7,7 @@ from archseg import cli, pipeline
 from archseg import io as aio
 from archseg.cli import main, render_table
 from archseg.segmentation import crop_patch, fuse_patches, neighbour_table, segment_patch
-from archseg.synthetic import generate_model, with_seed
+from archseg.synthetic import generate_model
 from test_segmentation import fuse_patches_reference, segment_patch_reference
 
 TINY_CONFIG = {
@@ -157,6 +157,15 @@ class TestRun:
                 {"scan": {"arch_control": "x"}}, "ScanConfig key 'arch_control'",
                 id="arch_control_str",
             ),
+            # each model's scan and vote seeds derive from the top-level seed
+            pytest.param(
+                dict(TINY_CONFIG, scan={"n_points": 2000, "n_teeth": 8, "seed": 12345}),
+                "unknown ScanConfig key(s): seed", id="scan_seed",
+            ),
+            pytest.param(
+                dict(TINY_CONFIG, noise={"seed": 123}), "unknown VoteNoiseModel key(s): seed",
+                id="noise_seed",
+            ),
         ],
     )
     def test_unknown_config_key_exit_2(self, tmp_path, capsys, config, key):
@@ -179,14 +188,6 @@ class TestRun:
                 "segmentation.patch_size 4096 exceeds scan.n_points 1500", id="patch_size",
             ),
             pytest.param(
-                dict(TINY_CONFIG, scan={"n_points": 2000, "n_teeth": 8, "seed": 12345}),
-                "top-level 'seed'", id="scan_seed",
-            ),
-            pytest.param(
-                dict(TINY_CONFIG, noise={"seed": 123}), "noise.seed 123 is not used",
-                id="noise_seed",
-            ),
-            pytest.param(
                 dict(TINY_CONFIG, sampling={"n_samples": 600}),
                 "sampling.n_samples 600 exceeds vote_subsample 512", id="n_samples",
             ),
@@ -195,6 +196,39 @@ class TestRun:
                 "patch_size must be >= 2", id="patch_size_1",
             ),
             pytest.param(dict(TINY_CONFIG, seed=-1), "seed must be >= 0", id="seed"),
+            # NaN and Infinity, which Python's json reads and writes
+            pytest.param(
+                dict(TINY_CONFIG, segmentation={"prob_decay": float("nan")}),
+                "SegParams key 'prob_decay' must be finite, got nan", id="prob_decay_nan",
+            ),
+            pytest.param(
+                dict(TINY_CONFIG, detection={"nms_radius": float("inf")}),
+                "DetectionParams key 'nms_radius' must be finite, got inf", id="nms_radius_inf",
+            ),
+            pytest.param(
+                dict(TINY_CONFIG, pregroup_radius=float("-inf")),
+                "ExperimentConfig key 'pregroup_radius' must be finite, got -inf",
+                id="pregroup_radius_minus_inf",
+            ),
+            pytest.param(
+                dict(TINY_CONFIG, scan={"n_points": 2000, "n_teeth": 8,
+                                        "arch_control": [[float("nan")] * 3] * 4}),
+                "ScanConfig key 'arch_control' must be a (4, 3) array of finite numbers",
+                id="arch_control_nan",
+            ),
+            pytest.param(
+                dict(TINY_CONFIG, scan={"n_points": 2000, "n_teeth": 8,
+                                        "tooth_radius_range": [0.04, float("inf")]}),
+                "tooth radii must be finite", id="radius_range_inf",
+            ),
+            pytest.param(
+                dict(TINY_CONFIG, pregroup_min_size_frac=1.5),
+                "pregroup_min_size_frac must be in [0, 1], got 1.5", id="min_size_frac_above_1",
+            ),
+            pytest.param(
+                dict(TINY_CONFIG, pregroup_min_size_frac=-0.1),
+                "pregroup_min_size_frac must be in [0, 1], got -0.1", id="min_size_frac_below_0",
+            ),
         ],
     )
     def test_cross_field_config_exit_2(self, tmp_path, capsys, config, message):
@@ -203,6 +237,14 @@ class TestRun:
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and message in err[0]
+
+    def test_min_size_frac_1_fails_per_model(self, tmp_path, capsys):
+        """At fraction 1 only the largest vote clusters are kept; a model
+        left with fewer than 2 is a per-model failure, not a config error."""
+        config = tmp_path / "frac.json"
+        config.write_text(json.dumps(dict(TINY_CONFIG, n_models=1, pregroup_min_size_frac=1.0)))
+        assert main(["run", "--config", str(config), "--out", str(tmp_path / "o")]) == 1
+        assert "need at least 2 centroids" in capsys.readouterr().err
 
     @pytest.mark.parametrize("section", ["noise", "scan"])
     def test_non_object_config_section_exit_2(self, tmp_path, capsys, section):
@@ -397,7 +439,7 @@ class TestSharedStages:
         params = benchmark_config.segmentation
         for i in range(5):
             scan_seed, _ = pipeline.model_seeds(benchmark_config, i)
-            model = generate_model(with_seed(benchmark_config.scan, scan_seed))
+            model = generate_model(benchmark_config.scan, scan_seed)
             table = neighbour_table(model.cloud.points)
             patches = [crop_patch(model, c, params) for c in model.centroids]
             masks = [segment_patch(p, params, table) for p in patches]

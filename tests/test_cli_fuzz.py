@@ -1,6 +1,8 @@
 """Fuzz of the config file and argv of `run`, `ablate-arch` and `generate`:
 `main` returns 0, 1 or 2 and never raises, and exit 2 (invalid config or
-usage) prints exactly one `error:` line and no traceback."""
+usage) prints exactly one `error:` line and no traceback.  Every config
+`from_dict` accepts survives the config codec unchanged, and a non-finite
+float field exits 2."""
 
 import contextlib
 import io
@@ -13,7 +15,7 @@ from pathlib import Path
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from archseg.cli import EXIT_BAD_CONFIG, EXIT_MODEL_FAILURE, EXIT_OK, main
-from archseg.pipeline import ExperimentConfig
+from archseg.pipeline import ExperimentConfig, load_config, save_config
 
 # A valid starting point small enough that a config the fuzz leaves valid
 # runs in well under a second.
@@ -31,6 +33,11 @@ PATHS = sorted(
     [(f.name,) for f in fields(ExperimentConfig)]
     + [(name, f.name) for name, make in SECTIONS.items() for f in fields(make())]
     + [("bogus",), ("scan", "bogus")]
+)
+FLOAT_PATHS = sorted(
+    [(f.name,) for f in fields(ExperimentConfig) if isinstance(f.default, float)]
+    + [(name, f.name) for name, make in SECTIONS.items() for f in fields(make())
+       if isinstance(f.default, float)]
 )
 
 # Integers stay small so that no drawn count (models, points, iterations)
@@ -64,6 +71,43 @@ def configs(draw):
     return config
 
 
+DEFAULTS = ExperimentConfig().to_dict()
+MODES = ["aps", "fps", "random", "clutter", "suppressed", "coarse", "direct_fit", "coarse_fine"]
+
+
+def typed_value(default):
+    """A strategy for JSON values of `default`'s encoded type, most of them
+    valid for its field."""
+    if isinstance(default, bool):
+        return st.booleans()
+    if isinstance(default, int):
+        return st.integers(0, 4)
+    if isinstance(default, float):
+        return st.one_of(st.floats(0, 1), st.integers(0, 2))
+    if isinstance(default, str):
+        return st.sampled_from(MODES)
+    if isinstance(default[0], list):  # arch_control
+        return st.lists(st.lists(st.floats(-1, 1), min_size=3, max_size=3),
+                        min_size=4, max_size=4)
+    return st.lists(st.floats(0.01, 0.1), min_size=2, max_size=2).map(sorted)
+
+
+@st.composite
+def typed_configs(draw):
+    """BASE_CONFIG with up to three fields set to values of their own type."""
+    config = json.loads(json.dumps(BASE_CONFIG))
+    for path in draw(st.lists(st.sampled_from([p for p in PATHS if "bogus" not in p]),
+                              max_size=3)):
+        default = DEFAULTS
+        for part in path:
+            default = default[part]
+        if isinstance(default, dict):
+            continue  # a whole section: its fields are drawn on their own
+        section = config if len(path) == 1 else config.setdefault(path[0], {})
+        section[path[-1]] = draw(typed_value(default))
+    return config
+
+
 def option(draw, argv, flag, values):
     if draw(st.booleans()):  # --flag=value: argparse reads "-1e+16" as a flag
         argv.append(f"{flag}={draw(values)}")
@@ -87,9 +131,8 @@ def arguments(draw):
     return argv
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
-@given(configs(), arguments())
-def test_main_exits_cleanly(config, argv):
+def run_main(config, argv) -> tuple[int, str]:
+    """main(argv) on `config` written to a config file: (exit code, stderr)."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
@@ -99,7 +142,44 @@ def test_main_exits_cleanly(config, argv):
                 warnings.catch_warnings():
             warnings.simplefilter("ignore")
             code = main(argv)
+    return code, err.getvalue()
+
+
+def assert_one_error_line(err: str) -> None:
+    lines = err.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), err
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(configs(), arguments())
+def test_main_exits_cleanly(config, argv):
+    code, err = run_main(config, argv)
     assert code in (EXIT_OK, EXIT_MODEL_FAILURE, EXIT_BAD_CONFIG)
     if code == EXIT_BAD_CONFIG:
-        lines = err.getvalue().splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: "), err.getvalue()
+        assert_one_error_line(err)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.one_of(configs(), typed_configs()))
+def test_accepted_config_round_trips(config):
+    try:
+        accepted = ExperimentConfig.from_dict(config)
+    except ValueError:
+        return
+    encoded = accepted.to_dict()
+    assert ExperimentConfig.from_dict(encoded).to_dict() == encoded
+    with tempfile.TemporaryDirectory() as tmp:
+        save_config(accepted, Path(tmp) / "config.json")
+        assert load_config(Path(tmp) / "config.json").to_dict() == encoded
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(FLOAT_PATHS), st.sampled_from([float("nan"), float("inf"), -float("inf")]))
+def test_non_finite_float_exits_2(path, value):
+    config = json.loads(json.dumps(BASE_CONFIG))
+    section = config if len(path) == 1 else config.setdefault(path[0], {})
+    section[path[-1]] = value
+    code, err = run_main(config, ["run"])
+    assert code == EXIT_BAD_CONFIG
+    assert_one_error_line(err)
+    assert f"'{path[-1]}' must be finite" in err

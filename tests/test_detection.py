@@ -46,7 +46,7 @@ def arch():
 
 @pytest.fixture(scope="module")
 def model():
-    return generate_model(ScanConfig(n_points=4000, n_teeth=10, seed=11))
+    return generate_model(ScanConfig(n_points=4000, n_teeth=10), 11)
 
 
 class TestAPSCost:
@@ -247,7 +247,7 @@ class TestDetectionMetrics:
 
 class TestDetectionLoss:
     def test_terms_combine(self, model):
-        votes = simulate_votes(model, 512, VoteNoiseModel(tooth_vote_sigma=0.01, seed=1))
+        votes = simulate_votes(model, 512, VoteNoiseModel(tooth_vote_sigma=0.01), 1)
         sel = fps_vote_sampling(votes, 32)
         clusters = group_votes(sel, votes, 0.1)
         props = make_proposals(clusters, votes)
@@ -259,7 +259,7 @@ class TestDetectionLoss:
         assert loss["l_offset"] > 0
 
     def test_zero_noise_zero_offset_loss(self, model):
-        votes = simulate_votes(model, 512, VoteNoiseModel())
+        votes = simulate_votes(model, 512, VoteNoiseModel(), 0)
         sel = fps_vote_sampling(votes, 32)
         clusters = group_votes(sel, votes, 0.1)
         props = make_proposals(clusters, votes)

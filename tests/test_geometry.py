@@ -16,7 +16,7 @@ from archseg.geometry import (
     normalize_model,
 )
 from archseg.pipeline import model_seeds
-from archseg.synthetic import generate_model, with_seed
+from archseg.synthetic import generate_model
 
 
 def cloud(n, seed=0, scale=1.0):
@@ -145,7 +145,7 @@ def grid_clouds(draw):
 @pytest.fixture(scope="module")
 def pinned_scan_0(benchmark_config):
     scan_seed, _ = model_seeds(benchmark_config, 0)
-    return generate_model(with_seed(benchmark_config.scan, scan_seed)).cloud
+    return generate_model(benchmark_config.scan, scan_seed).cloud
 
 
 class TestFPSEquivalence:
@@ -212,7 +212,7 @@ class TestFPSWindow:
 
     def test_ply_loaded_scan(self, tmp_path, benchmark_config):
         scan_seed, _ = model_seeds(benchmark_config, 1)
-        model = generate_model(with_seed(benchmark_config.scan, scan_seed))
+        model = generate_model(benchmark_config.scan, scan_seed)
         aio.save_model(model, tmp_path / "m.ply", tmp_path / "m.json")
         cloud = aio.load_model(tmp_path / "m.ply", tmp_path / "m.json").cloud
         k = benchmark_config.vote_subsample

@@ -7,7 +7,7 @@ import pytest
 from archseg import io as aio
 from archseg.arch import build_target_arch
 from archseg.pipeline import load_config, model_seeds
-from archseg.synthetic import ScanConfig, generate_model, with_seed
+from archseg.synthetic import ScanConfig, generate_model
 
 
 BENCHMARK = load_config(Path(__file__).resolve().parents[1] / "configs" / "benchmark.json")
@@ -27,7 +27,7 @@ def per_row_reference(points, labels=None) -> str:
 
 @pytest.fixture(scope="module")
 def model():
-    return generate_model(ScanConfig(n_points=2000, n_teeth=8, seed=13))
+    return generate_model(ScanConfig(n_points=2000, n_teeth=8), 13)
 
 
 class TestPly:
@@ -50,7 +50,7 @@ class TestPly:
     @pytest.mark.parametrize("with_labels", [True, False])
     def test_rows_match_per_row_format(self, tmp_path, with_labels):
         cases = [
-            generate_model(with_seed(BENCHMARK.scan, model_seeds(BENCHMARK, 0)[0])),
+            generate_model(BENCHMARK.scan, model_seeds(BENCHMARK, 0)[0]),
             None,
         ]
         for case in cases:
@@ -88,7 +88,6 @@ def assert_same_model(loaded, model):
     assert np.array_equal(loaded.labels, model.labels)
     assert np.array_equal(loaded.centroids, model.centroids)
     assert np.array_equal(loaded.gt_arch.points, model.gt_arch.points)
-    assert loaded.config_echo.to_dict() == model.config_echo.to_dict()
 
 
 class TestModelRoundTrip:
@@ -100,7 +99,7 @@ class TestModelRoundTrip:
         aio.save_model(model, tmp_path / "m.ply", tmp_path / "m.json")
         with open(tmp_path / "m.json") as fh:
             sidecar = json.load(fh)
-        assert set(sidecar) == {"centroids", "config"}
+        assert set(sidecar) == {"centroids"}
 
     def test_loads_sidecar_with_bezier_control(self, tmp_path, model):
         """Sidecars written before the ground-truth Bézier was dropped carry
@@ -108,6 +107,17 @@ class TestModelRoundTrip:
         aio.save_model(model, tmp_path / "m.ply", tmp_path / "m.json")
         sidecar = json.loads((tmp_path / "m.json").read_text())
         sidecar["bezier_control"] = np.eye(4, 3).tolist()
+        (tmp_path / "m.json").write_text(json.dumps(sidecar))
+        assert_same_model(aio.load_model(tmp_path / "m.ply", tmp_path / "m.json"), model)
+
+    def test_loads_sidecar_with_config(self, tmp_path, model):
+        """Sidecars written before the scan config echo was dropped carry a
+        `config` key, the scan's settings with its seed; the loader ignores
+        it."""
+        aio.save_model(model, tmp_path / "m.ply", tmp_path / "m.json")
+        sidecar = json.loads((tmp_path / "m.json").read_text())
+        scan = BENCHMARK.to_dict()["scan"]
+        sidecar["config"] = dict(scan, n_points=2000, n_teeth=8, seed=13)
         (tmp_path / "m.json").write_text(json.dumps(sidecar))
         assert_same_model(aio.load_model(tmp_path / "m.ply", tmp_path / "m.json"), model)
 

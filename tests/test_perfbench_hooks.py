@@ -1,8 +1,10 @@
 """The benchmark times archseg from outside by rebinding module attributes
 (`perfbench/spans.py`'s BINDINGS, and the bindings `perfbench/workloads.py`
-patches).  A rename in `src/archseg` would break the benchmark silently, so
-these tests read the benchmark's own tables and check that each hook still
-lands on the program."""
+patches), and checks its outputs against the golden report only when its
+config matches the golden's.  A rename in `src/archseg` or a change of the
+config schema would break the benchmark silently, so these tests read the
+benchmark's own tables and check that each hook still lands on the program
+and that the golden check still applies."""
 
 import importlib
 import importlib.util
@@ -12,18 +14,29 @@ from pathlib import Path
 from archseg import cli, pipeline
 from archseg.pipeline import ExperimentConfig
 
-SPANS_PATH = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+
+def load_perfbench(name, module_name=None):
+    """perfbench/<name>.py as module `module_name` (by default
+    perfbench_<name>), without adding perfbench to sys.path (its
+    dataclasses need the module registered while it executes)."""
+    module_name = module_name or f"perfbench_{name}"
+    if module_name not in sys.modules:
+        spec = importlib.util.spec_from_file_location(module_name, PERFBENCH / f"{name}.py")
+        sys.modules[module_name] = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(sys.modules[module_name])
+    return sys.modules[module_name]
 
 
 def load_spans():
-    """perfbench/spans.py as a module, without adding perfbench to sys.path
-    (its dataclasses need the module registered while it executes)."""
-    name = "perfbench_spans"
-    if name not in sys.modules:
-        spec = importlib.util.spec_from_file_location(name, SPANS_PATH)
-        sys.modules[name] = importlib.util.module_from_spec(spec)
-        spec.loader.exec_module(sys.modules[name])
-    return sys.modules[name]
+    return load_perfbench("spans")
+
+
+def load_workloads():
+    """perfbench/workloads.py, which imports perfbench/common.py as `common`."""
+    load_perfbench("common", "common")
+    return load_perfbench("workloads")
 
 
 def test_every_binding_resolves_to_a_callable():
@@ -37,6 +50,16 @@ def test_workload_patch_targets_exist():
     for module, attr in [(cli, "run_dataset"), (cli, "run_models"),
                          (pipeline, "generate_model")]:
         assert callable(getattr(module, attr, None)), f"{module.__name__}.{attr}"
+
+
+def test_golden_check_applies_to_pinned_config():
+    """`check_report` compares against the golden only when the run's config
+    equals the golden's config block, so a schema change that leaves the
+    golden behind would switch the 1e-9 check off without a failure."""
+    workloads = load_workloads()
+    assert workloads.golden_models(pipeline.load_config(workloads.PINNED_CONFIG)) is not None
+    pinned = workloads.workload_config(workloads.WORKLOADS["pinned"])
+    assert workloads.golden_models(pinned) is not None
 
 
 def test_traced_run_counts_segment_spans():

@@ -21,7 +21,7 @@ from archseg.pipeline import (
     stage_keys,
 )
 from archseg.segmentation import PatchMask, SegParams
-from archseg.synthetic import ScanConfig, VoteNoiseModel, generate_model, with_seed
+from archseg.synthetic import ScanConfig, VoteNoiseModel, generate_model
 
 TINY = ExperimentConfig(
     n_models=3,
@@ -71,7 +71,6 @@ class TestConfig:
                 {"segmentation": SegParams(patch_size=2001)},
                 "segmentation.patch_size 2001 exceeds scan.n_points 2000",
             ),
-            ({"scan": ScanConfig(n_points=2000, n_teeth=8, seed=3)}, "top-level 'seed'"),
             (
                 {"sampling": dataclasses.replace(TINY.sampling, n_samples=513)},
                 "sampling.n_samples 513 exceeds vote_subsample 512",
@@ -113,7 +112,7 @@ class TestRunModel:
 
     def test_detection_only_skips_segmentation(self):
         cfg = dataclasses.replace(TINY, with_segmentation=False)
-        model = generate_model(with_seed(cfg.scan, model_seeds(cfg, 0)[0]))
+        model = generate_model(cfg.scan, model_seeds(cfg, 0)[0])
         m = run_model(model, cfg, model_seeds(cfg, 0)[1])
         assert "mean_iou" not in m
 
@@ -179,7 +178,7 @@ class TestRunDataset:
 
     def test_run_models_matches_run_dataset(self, tiny_report):
         models = [
-            generate_model(with_seed(TINY.scan, model_seeds(TINY, i)[0]))
+            generate_model(TINY.scan, model_seeds(TINY, i)[0])
             for i in range(TINY.n_models)
         ]
         loaded = run_models(TINY, models)
@@ -279,11 +278,8 @@ def with_leaf_changed(config, path):
 # STAGED with segmentation on: the config whose stage outputs the stage tests
 # start from, so the table and segment stages are stored too.
 SEGMENTED = dataclasses.replace(STAGED, with_segmentation=True)
-# Every leaf field but scan.seed and noise.seed, whose other values are all
-# rejected: each model's scan and vote seeds derive from the top-level seed.
-SETTABLE_FIELDS = [
-    path for path in leaf_fields(SEGMENTED) if path not in ("scan.seed", "noise.seed")
-]
+# Every leaf field a config file can set.
+SETTABLE_FIELDS = list(leaf_fields(SEGMENTED))
 # Every field no stage key holds; a change to one must reuse every stored
 # stage and still give what a run with nothing stored gives.
 DOWNSTREAM_FIELDS = [path for path in SETTABLE_FIELDS if not is_keyed(path)]
@@ -375,7 +371,7 @@ class TestStages:
 
     def test_run_models_stores_per_model(self):
         models = [
-            generate_model(with_seed(STAGED.scan, model_seeds(STAGED, i)[0]))
+            generate_model(STAGED.scan, model_seeds(STAGED, i)[0])
             for i in range(2)
         ]
         stages = {}

@@ -23,12 +23,12 @@ from archseg.segmentation import (
     neighbour_table,
     segment_patch,
 )
-from archseg.synthetic import ScanConfig, generate_model, with_seed
+from archseg.synthetic import ScanConfig, generate_model
 
 
 @pytest.fixture(scope="module")
 def model():
-    return generate_model(ScanConfig(n_points=4000, n_teeth=10, seed=21))
+    return generate_model(ScanConfig(n_points=4000, n_teeth=10), 21)
 
 
 @pytest.fixture(scope="module")
@@ -295,7 +295,7 @@ class TestIoUDiceReference:
     @pytest.mark.parametrize("index", range(5))
     def test_pinned_labelings(self, benchmark_config, index):
         scan_seed, _ = model_seeds(benchmark_config, index)
-        gt = generate_model(with_seed(benchmark_config.scan, scan_seed)).labels
+        gt = generate_model(benchmark_config.scan, scan_seed).labels
         rng = np.random.default_rng(index)
         for _ in range(6):
             assert_iou_dice_matches_reference(perturbed(gt, rng), gt)
@@ -402,7 +402,7 @@ class TestPatchEquivalence:
         settled = rows = 0
         for i in range(benchmark_config.n_models):
             model = generate_model(
-                with_seed(benchmark_config.scan, model_seeds(benchmark_config, i)[0])
+                benchmark_config.scan, model_seeds(benchmark_config, i)[0]
             )
             picks = model.centroids[[0, model.n_teeth // 2, -1]]
             s, r = assert_patches_match_reference(

@@ -9,13 +9,12 @@ from archseg.synthetic import (
     generate_model,
     ground_truth_offsets,
     simulate_votes,
-    with_seed,
 )
 
 
 @pytest.fixture(scope="module")
 def model():
-    return generate_model(ScanConfig(n_points=4000, n_teeth=10, seed=5))
+    return generate_model(ScanConfig(n_points=4000, n_teeth=10), 5)
 
 
 class TestConfigValidation:
@@ -36,12 +35,12 @@ class TestConfigValidation:
 
 class TestGenerateModel:
     def test_determinism(self, model):
-        again = generate_model(ScanConfig(n_points=4000, n_teeth=10, seed=5))
+        again = generate_model(ScanConfig(n_points=4000, n_teeth=10), 5)
         assert np.array_equal(model.cloud.points, again.cloud.points)
         assert np.array_equal(model.labels, again.labels)
 
     def test_seed_changes_output(self, model):
-        other = generate_model(ScanConfig(n_points=4000, n_teeth=10, seed=6))
+        other = generate_model(ScanConfig(n_points=4000, n_teeth=10), 6)
         assert not np.array_equal(model.cloud.points, other.cloud.points)
 
     def test_normalized(self, model):
@@ -64,26 +63,21 @@ class TestGenerateModel:
 
     def test_missing_teeth_reduce_instances(self):
         m = generate_model(
-            ScanConfig(n_points=4000, n_teeth=12, missing_tooth_prob=0.3, seed=1)
+            ScanConfig(n_points=4000, n_teeth=12, missing_tooth_prob=0.3), 1
         )
         assert 4 <= m.n_teeth <= 12
         assert set(np.unique(m.labels)) == set(range(m.n_teeth + 1))
 
     def test_min_surviving_teeth(self):
         m = generate_model(
-            ScanConfig(n_points=4000, n_teeth=10, missing_tooth_prob=1.0, seed=2)
+            ScanConfig(n_points=4000, n_teeth=10, missing_tooth_prob=1.0), 2
         )
         assert m.n_teeth == 4
-
-    def test_with_seed(self):
-        cfg = ScanConfig(n_points=4000, n_teeth=10, seed=5)
-        assert with_seed(cfg, 9).seed == 9
-        assert with_seed(cfg, 9).n_points == cfg.n_points
 
 
 class TestSimulateVotes:
     def test_zero_noise_votes_at_centroids(self, model):
-        votes = simulate_votes(model, 1024, VoteNoiseModel())
+        votes = simulate_votes(model, 1024, VoteNoiseModel(), 0)
         uniq = np.unique(np.round(votes.position, 12), axis=0)
         assert len(uniq) == model.n_teeth
         label = model.labels[votes.seed_index]
@@ -92,7 +86,7 @@ class TestSimulateVotes:
 
     def test_vote_identities(self, model):
         votes = simulate_votes(
-            model, 512, VoteNoiseModel(tooth_vote_sigma=0.05, seed=3)
+            model, 512, VoteNoiseModel(tooth_vote_sigma=0.05), 3
         )
         assert np.allclose(
             votes.position, model.cloud.points[votes.seed_index] + votes.displacement
@@ -102,28 +96,27 @@ class TestSimulateVotes:
         )
 
     def test_clutter_zero_fraction_equals_suppressed(self, model):
-        a = simulate_votes(model, 512, VoteNoiseModel(seed=4))
+        a = simulate_votes(model, 512, VoteNoiseModel(), 4)
         b = simulate_votes(
             model,
             512,
-            VoteNoiseModel(gingiva_vote_mode="clutter", clutter_fraction=0.0, seed=4),
+            VoteNoiseModel(gingiva_vote_mode="clutter", clutter_fraction=0.0),
+            4,
         )
         assert len(a) == len(b)
         assert np.array_equal(a.seed_index, b.seed_index)
         assert np.array_equal(a.position, b.position)
 
     def test_clutter_adds_gingiva_votes(self, model):
-        noise = VoteNoiseModel(
-            gingiva_vote_mode="clutter", clutter_fraction=1.0, seed=4
-        )
-        votes = simulate_votes(model, 1024, noise)
+        noise = VoteNoiseModel(gingiva_vote_mode="clutter", clutter_fraction=1.0)
+        votes = simulate_votes(model, 1024, noise, 4)
         gum = model.labels[votes.seed_index] == 0
         assert gum.sum() > 0
 
     def test_mean_vote_near_centroid(self, model):
         sigma = 0.02
         votes = simulate_votes(
-            model, 2048, VoteNoiseModel(tooth_vote_sigma=sigma, seed=8)
+            model, 2048, VoteNoiseModel(tooth_vote_sigma=sigma), 8
         )
         labels = model.labels[votes.seed_index]
         for label in np.unique(labels):
@@ -133,7 +126,7 @@ class TestSimulateVotes:
 
     def test_subsample_too_large(self, model):
         with pytest.raises(ValueError):
-            simulate_votes(model, 4001, VoteNoiseModel())
+            simulate_votes(model, 4001, VoteNoiseModel(), 0)
 
 
 class TestGroundTruthOffsets:
