@@ -43,7 +43,8 @@ def bezier_eval(curve: BezierCurve, t):
 def bezier_derivative(curve: BezierCurve, t) -> np.ndarray:
     """dB/dt at each t, as an (len(t), 3) array."""
     t = np.atleast_1d(np.asarray(t, dtype=np.float64))
-    return _basis_and_derivative(t, np.diff(curve.control, axis=0))[1]
+    s = 1.0 - t
+    return _derivative(t, s, 3 * s**2, t**2, np.diff(curve.control, axis=0))
 
 
 def arc_length_params(curve: BezierCurve, fractions, segments: int = 1024) -> np.ndarray:
@@ -73,6 +74,13 @@ _GRID = np.linspace(0.0, 1.0, 257)
 _GRID_BASIS = _bernstein(_GRID)
 
 
+def _derivative(t, s, s2, t2, diffs: np.ndarray) -> np.ndarray:
+    """dB/dt at t for control differences diffs = np.diff(control, axis=0),
+    given s = 1 - t, s2 = 3 s^2 and t2 = t^2."""
+    deriv = s2[:, None] * diffs[0] + (6 * (s * t))[:, None] * diffs[1]
+    return deriv + (3 * t2)[:, None] * diffs[2]
+
+
 def _basis_and_derivative(t: np.ndarray, diffs: np.ndarray):
     """(basis, derivative, s) at t for control differences diffs =
     np.diff(control, axis=0), s = 1 - t: the basis is bitwise `_bernstein(t)`,
@@ -81,8 +89,7 @@ def _basis_and_derivative(t: np.ndarray, diffs: np.ndarray):
     s2 = 3 * s**2
     t2 = t**2
     basis = np.stack([s**3, s2 * t, 3 * s * t2, t**3], axis=-1)
-    deriv = s2[:, None] * diffs[0] + (6 * (s * t))[:, None] * diffs[1]
-    return basis, deriv + (3 * t2)[:, None] * diffs[2], s
+    return basis, _derivative(t, s, s2, t2, diffs), s
 
 
 def _project_params(curve: BezierCurve, targets: np.ndarray, t0: np.ndarray,
@@ -94,8 +101,9 @@ def _project_params(curve: BezierCurve, targets: np.ndarray, t0: np.ndarray,
     the overall fit residual is monotone.  Each target is additionally seeded
     from the nearest point on a dense parameter grid, which lets the search
     escape local minima of the foot-point equation.  A step is a function of
-    (t, distance) alone, so once a step leaves both bitwise unchanged every
-    later one would too, and the search stops there."""
+    (t, distance) alone, so once a step returns the state of one or two
+    steps before, the later steps repeat that cycle: the search stops there
+    and returns the state the last step would end on."""
     p = curve.control
     diffs = np.diff(p, axis=0)
     second = (p[2] - 2 * p[1] + p[0], p[3] - 2 * p[2] + p[1])
@@ -107,7 +115,8 @@ def _project_params(curve: BezierCurve, targets: np.ndarray, t0: np.ndarray,
     take = g_best < best_d
     t = np.where(take, _GRID[gi], t)
     best_d = np.where(take, g_best, best_d)
-    for _ in range(newton_steps):
+    before = None  # the state one step before (t, best_d), as bytes
+    for k in range(newton_steps):
         basis, d1, s = _basis_and_derivative(t, diffs)
         d2 = 6 * s[:, None] * second[0] + 6 * t[:, None] * second[1]
         diff = basis @ p - targets
@@ -118,8 +127,14 @@ def _project_params(curve: BezierCurve, targets: np.ndarray, t0: np.ndarray,
         d_new = np.linalg.norm(_bernstein(t_new) @ p - targets, axis=1)
         accept = d_new <= best_d
         t_next, d_next = np.where(accept, t_new, t), np.where(accept, d_new, best_d)
-        if t_next.tobytes() == t.tobytes() and d_next.tobytes() == best_d.tobytes():
+        state, after = (t.tobytes(), best_d.tobytes()), (t_next.tobytes(), d_next.tobytes())
+        if after == state:
             break
+        if after == before:
+            # the states alternate from here; the last step ends on `after`
+            # when an even number of steps is left after this one
+            return t_next if (newton_steps - k - 1) % 2 == 0 else t
+        before = state
         t, best_d = t_next, d_next
     return t
 

@@ -17,6 +17,7 @@ import argparse
 import csv
 import dataclasses
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -197,6 +198,8 @@ def cmd_eval(args) -> int:
     --pred is either a labeled PLY (segmentation -> IoU/Dice) or a detection
     JSON with predicted centroids (-> accuracy/recall/chamfer).
     """
+    if not 0.0 < args.match_threshold < math.inf:
+        raise ValueError(f"--match-threshold must be finite and > 0, got {args.match_threshold}")
     model = aio.load_model(args.gt_ply, args.gt_json)
     pred_path = Path(args.pred)
     if pred_path.suffix == ".ply":

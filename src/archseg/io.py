@@ -1,7 +1,9 @@
-"""File formats: ASCII PLY point clouds, JSON sidecars, dataset manifests.
+"""File formats: PLY point clouds, JSON sidecars, dataset manifests.
 
 PLY files carry vertex x/y/z as doubles (lossless round trip) plus an
-optional integer `instance` property for per-point labels.  Each generated
+optional integer `instance` property for per-point labels.  `write_ply`
+writes binary little-endian; `read_ply` also reads binary big-endian and
+ASCII PLY, as older datasets and other tools write them.  Each generated
 model is a PLY + JSON sidecar pair listed in a manifest.
 """
 
@@ -15,50 +17,111 @@ import numpy as np
 from .geometry import PointCloud
 from .synthetic import DentalModel
 
+# PLY scalar type names, the original and the sized spelling, as numpy
+# type codes without byte order.
+PLY_TYPES = {
+    "char": "i1", "int8": "i1", "uchar": "u1", "uint8": "u1",
+    "short": "i2", "int16": "i2", "ushort": "u2", "uint16": "u2",
+    "int": "i4", "int32": "i4", "uint": "u4", "uint32": "u4",
+    "float": "f4", "float32": "f4", "double": "f8", "float64": "f8",
+}
+# PLY format -> numpy byte order; None reads the body as text
+PLY_FORMATS = {"ascii": None, "binary_little_endian": "<", "binary_big_endian": ">"}
+INT32 = np.iinfo(np.int32)
+
 
 def write_ply(path, points: np.ndarray, labels=None) -> None:
+    """Binary little-endian PLY: x/y/z as doubles and, when labels are
+    given, `instance` as int32 (a label outside int32 raises ValueError)."""
     points = np.asarray(points, dtype=np.float64)
-    lines = ["ply", "format ascii 1.0", f"element vertex {len(points)}"]
-    lines += [f"property double {axis}" for axis in "xyz"]
+    fields = [(axis, "<f8") for axis in "xyz"]
+    header = ["ply", "format binary_little_endian 1.0", f"element vertex {len(points)}"]
+    header += [f"property double {axis}" for axis in "xyz"]
     if labels is not None:
-        lines.append("property int instance")
-    lines.append("end_header")
-    # One %-format over all rows; an object array keeps Python floats and
-    # ints, so each value prints as f"{x:.17g}" / str(int(label)) would.
-    row = "%.17g %.17g %.17g" + ("" if labels is None else " %d") + "\n"
-    values = np.empty((len(points), row.count("%")), dtype=object)
-    values[:, :3] = points
+        labels = np.asarray(labels)
+        if len(labels) and (labels.min() < INT32.min or labels.max() > INT32.max):
+            raise ValueError(f"{path}: instance labels outside int32")
+        fields.append(("instance", "<i4"))
+        header.append("property int instance")
+    header.append("end_header")
+    body = np.empty(len(points), dtype=fields)
+    for i, axis in enumerate("xyz"):
+        body[axis] = points[:, i]
     if labels is not None:
-        values[:, 3] = labels
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-        fh.write((row * len(points)) % tuple(values.ravel().tolist()))
+        body["instance"] = labels
+    with open(path, "wb") as fh:
+        fh.write(("\n".join(header) + "\n").encode("ascii"))
+        fh.write(body.tobytes())
+
+
+def _read_header(path, raw: bytes):
+    """(format, vertex count, vertex properties as (type, name) pairs, body
+    offset) of a PLY file's bytes.  Elements after `vertex` are not read;
+    one before it, a list property of `vertex` or an unknown format or type
+    raises ValueError."""
+    lines, pos = [], 0
+    while not lines or lines[-1] != "end_header":
+        end = raw.find(b"\n", pos)
+        if end < 0:
+            raise ValueError(f"{path}: {'truncated header' if lines else 'not a PLY file'}")
+        lines.append(raw[pos:end].decode("latin-1").strip())
+        pos = end + 1
+        if lines[0] != "ply":
+            raise ValueError(f"{path}: not a PLY file")
+    fmt = n_vertices = element = None
+    properties = []
+    for line in lines[1:-1]:
+        keyword, *rest = line.split() or ["comment"]
+        if keyword == "format":
+            if len(rest) != 2 or rest[0] not in PLY_FORMATS:
+                raise ValueError(f"{path}: unknown PLY format {line!r}")
+            fmt = rest[0]
+        elif keyword == "element":
+            element = rest[0] if rest else None
+            if element == "vertex":
+                if len(rest) != 2 or not rest[1].isdecimal():
+                    raise ValueError(f"{path}: bad vertex count {line!r}")
+                n_vertices = int(rest[1])
+            elif n_vertices is None:
+                raise ValueError(f"{path}: element {line!r} before the vertex element")
+        elif keyword == "property" and element == "vertex":
+            if rest[:1] == ["list"]:
+                raise ValueError(f"{path}: list property {line!r} in the vertex element")
+            if len(rest) != 2 or rest[0] not in PLY_TYPES:
+                raise ValueError(f"{path}: unknown PLY property type {line!r}")
+            properties.append((rest[0], rest[1]))
+    if fmt is None:
+        raise ValueError(f"{path}: missing format line")
+    if n_vertices is None:
+        raise ValueError(f"{path}: missing vertex element")
+    names = [name for _, name in properties]
+    if len(set(names)) != len(names) or not {"x", "y", "z"} <= set(names):
+        raise ValueError(f"{path}: vertex properties {names} need x, y and z once each")
+    return fmt, n_vertices, properties, pos
 
 
 def read_ply(path) -> tuple[np.ndarray, np.ndarray | None]:
-    with open(path) as fh:
-        line = fh.readline().strip()
-        if line != "ply":
-            raise ValueError(f"{path}: not a PLY file")
-        n_vertices = None
-        properties = []
-        while True:
-            line = fh.readline()
-            if not line:
-                raise ValueError(f"{path}: truncated header")
-            line = line.strip()
-            if line.startswith("element vertex"):
-                n_vertices = int(line.split()[-1])
-            elif line.startswith("property"):
-                properties.append(line.split()[-1])
-            elif line == "end_header":
-                break
-        if n_vertices is None:
-            raise ValueError(f"{path}: missing vertex element")
-        data = np.loadtxt(fh, max_rows=n_vertices, ndmin=2)
-    cols = {name: i for i, name in enumerate(properties)}
-    points = data[:, [cols["x"], cols["y"], cols["z"]]]
-    labels = data[:, cols["instance"]].astype(np.int64) if "instance" in cols else None
+    """(points, labels) of a PLY file: points as (N, 3) float64, labels
+    (the `instance` property) as int64 or None.  A binary body is read as
+    one array of the header's vertex properties."""
+    raw = Path(path).read_bytes()
+    fmt, n_vertices, properties, offset = _read_header(path, raw)
+    names = [name for _, name in properties]
+    order = PLY_FORMATS[fmt]
+    if order is None:
+        data = np.loadtxt(
+            raw[offset:].decode("latin-1").splitlines(), max_rows=n_vertices, ndmin=2
+        )
+        if data.shape != (n_vertices, len(names)):
+            raise ValueError(f"{path}: truncated or malformed body")
+        columns = {name: data[:, i] for i, name in enumerate(names)}
+    else:
+        dtype = np.dtype([(name, order + PLY_TYPES[kind]) for kind, name in properties])
+        if len(raw) - offset < n_vertices * dtype.itemsize:
+            raise ValueError(f"{path}: truncated body")
+        columns = np.frombuffer(raw, dtype, count=n_vertices, offset=offset)
+    points = np.stack([columns[axis] for axis in "xyz"], axis=1).astype(np.float64, copy=False)
+    labels = columns["instance"].astype(np.int64) if "instance" in names else None
     return points, labels
 
 

@@ -197,10 +197,12 @@ def model_seeds(config: ExperimentConfig, index: int) -> tuple[int, int]:
 # Per stage, in pipeline order: its name, the stage whose key it extends
 # and the config fields it reads ("a.b" is field b of section a).  A stored
 # stage output is keyed by the values of its own fields and of every stage
-# it extends (`stage_keys`).  "table" reads only the fields that make the
-# model; a "segment" output is stored per retained centroid.
+# it extends (`stage_keys`).  "model" is a generated model, keyed by the
+# fields that make it, and "table" its neighbour table; a "segment" output
+# is stored per retained centroid.
 STAGE_FIELDS = (
-    ("table", None, ("scan", "seed")),
+    ("model", None, ("scan", "seed")),
+    ("table", "model", ()),
     ("votes", "table", ("vote_subsample", "noise")),
     ("pregroup", "votes", ("pregroup_radius", "pregroup_min_size_frac")),
     ("bezier", "pregroup", ()),
@@ -380,12 +382,14 @@ def aggregate_metrics(per_model: list) -> dict:
 
 def _run_one(args):
     """One model's metrics, and the stage outputs it computed that its
-    stored entries lacked (None when it was given none)."""
+    stored entries lacked (None when it was given none).  A model generated
+    here is one of them; a given (loaded) model is not."""
     config, index, model, stored = args
     scan_seed, vote_seed = model_seeds(config, index)
-    if model is None:
-        model = generate_model(config.scan, scan_seed)
     stages = None if stored is None else dict(stored)
+    if model is None:
+        keys = None if stages is None else stage_keys(config)
+        model = _stage(stages, keys, "model", lambda: generate_model(config.scan, scan_seed))
     metrics = run_model(model, config, vote_seed, stages)
     return metrics, None if stages is None else {
         k: v for k, v in stages.items() if k not in stored

@@ -291,15 +291,29 @@ class TestFitEquivalence:
         assert steps < 10
         assert t.tobytes() == project_params_reference(c, targets, t0).tobytes()
 
-    def test_projection_runs_every_step(self):
-        # one target still moves at the 10th step
+    def test_projection_stops_on_period_2_cycle(self):
+        # from step 4 on the state alternates between two states, so the
+        # search stops after 6 steps and must return the 10th step's state
         c = arch_like_curve(3)
         targets = bezier_eval(c, np.linspace(0, 1, 4)) + np.random.default_rng(103).normal(
             0, 0.1, (4, 3)
         )
         t0 = np.linspace(0, 1, 4)
         t, steps = newton_steps_run(c, targets, t0)
-        assert steps == 10
+        assert steps < 10
         want = project_params_reference(c, targets, t0)
         assert want.tobytes() != project_params_reference(c, targets, t0, 9).tobytes()
         assert t.tobytes() == want.tobytes()
+
+    def test_projection_runs_every_step(self):
+        # the parameters move at every one of the 10 steps
+        c = arch_like_curve(1)
+        targets = bezier_eval(c, np.linspace(0, 1, 4)) + np.random.default_rng(108).normal(
+            0, 0.1, (4, 3)
+        )
+        t0 = np.linspace(0, 1, 4)
+        t, steps = newton_steps_run(c, targets, t0)
+        assert steps == 10
+        states = [project_params_reference(c, targets, t0, k).tobytes() for k in range(11)]
+        assert len(set(states)) == 11
+        assert t.tobytes() == states[10]

@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from archseg import io as aio
 from archseg.cli import main, render_table
 from archseg.segmentation import crop_patch, fuse_patches, neighbour_table, segment_patch
 from archseg.synthetic import generate_model
+from test_io import per_row_reference
 from test_segmentation import fuse_patches_reference, segment_patch_reference
 
 TINY_CONFIG = {
@@ -104,6 +106,28 @@ class TestRun:
         assert [{k: v for k, v in m.items() if k != "seconds"} for m in per_model] == (
             without_seconds(loaded)
         )
+
+    def test_ascii_dataset_report_equals_binary(self, tmp_path, config_path, dataset_dir):
+        """A dataset whose PLYs are ASCII, as datasets were written before
+        PLY bodies became binary, gives the report the binary dataset gives
+        (all but the timing fields)."""
+        ascii_dir = tmp_path / "ascii"
+        shutil.copytree(dataset_dir, ascii_dir)
+        for entry in aio.read_manifest(ascii_dir / "manifest.json"):
+            points, labels = aio.read_ply(dataset_dir / entry["ply"])
+            per_row_reference(ascii_dir / entry["ply"], points, labels)
+        assert b"format ascii" in (ascii_dir / "model_0000.ply").read_bytes()
+        reports = []
+        for data in (dataset_dir, ascii_dir):
+            out = tmp_path / f"run_{data.name}"
+            assert main(["run", "--config", str(config_path), "--dataset", str(data),
+                         "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            del report["seconds"]
+            for m in report["per_model"]:
+                del m["seconds"]
+            reports.append(json.dumps(report, sort_keys=True))
+        assert reports[0] == reports[1]
 
     def test_sampling_override(self, tmp_path, config_path, dataset_dir):
         out_a = tmp_path / "aps"
@@ -380,6 +404,22 @@ class TestSharedStages:
         for path in (tmp_path / "jobs1").iterdir():
             assert path.read_bytes() == (tmp_path / "jobs2" / path.name).read_bytes()
 
+    def test_models_generated_once_per_model(self, config_path, monkeypatch):
+        """Each command generates each of its models once, for all its
+        variants (4 + 3 variants over 2 models generated 14 before)."""
+        seeds = []
+        generate = pipeline.generate_model
+
+        def counted(scan, seed):
+            seeds.append(seed)
+            return generate(scan, seed)
+
+        monkeypatch.setattr(pipeline, "generate_model", counted)
+        for command in ABLATIONS:
+            assert main([command, "--config", str(config_path)]) == 0
+        assert len(seeds) == 2 * TINY_CONFIG["n_models"]
+        assert len(set(seeds)) == TINY_CONFIG["n_models"]
+
     def test_votes_simulated_once_per_model(self, config_path, monkeypatch):
         calls = []
         simulate = pipeline.simulate_votes
@@ -482,6 +522,43 @@ class TestEvalAndReport:
             "--gt-json", str(dataset_dir / "model_0000.json"),
         ])
         assert rc == 0
+
+    def test_eval_truncated_ply_exit_2(self, tmp_path, dataset_dir, capsys):
+        pred = tmp_path / "cut.ply"
+        pred.write_bytes((dataset_dir / "model_0000.ply").read_bytes()[:-10])
+        rc = main([
+            "eval", "--pred", str(pred),
+            "--gt-ply", str(dataset_dir / "model_0000.ply"),
+            "--gt-json", str(dataset_dir / "model_0000.json"),
+        ])
+        assert rc == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and str(pred) in err[0]
+
+    @pytest.mark.parametrize("threshold", ["nan", "-1", "0", "inf"])
+    def test_match_threshold_out_of_range_exit_2(
+        self, tmp_path, dataset_dir, capsys, threshold
+    ):
+        model = aio.load_model(
+            dataset_dir / "model_0000.ply", dataset_dir / "model_0000.json"
+        )
+        pred = tmp_path / "det.json"
+        pred.write_text(json.dumps({
+            "centroids": model.centroids.tolist(),
+            "confidences": np.ones(len(model.centroids)).tolist(),
+            "sampling": "aps",
+            "params": {},
+        }))
+        rc = main([
+            "eval", "--pred", str(pred), "--match-threshold", threshold,
+            "--gt-ply", str(dataset_dir / "model_0000.ply"),
+            "--gt-json", str(dataset_dir / "model_0000.json"),
+        ])
+        assert rc == 2
+        captured = capsys.readouterr()
+        err = captured.err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "--match-threshold" in err[0]
+        assert captured.out == ""
 
     def test_report_renders_csv(self, tmp_path, capsys):
         csv_path = tmp_path / "t.csv"

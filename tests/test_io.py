@@ -1,4 +1,5 @@
 import json
+import re
 from pathlib import Path
 
 import numpy as np
@@ -13,16 +14,21 @@ from archseg.synthetic import ScanConfig, generate_model
 BENCHMARK = load_config(Path(__file__).resolve().parents[1] / "configs" / "benchmark.json")
 
 
-def per_row_reference(points, labels=None) -> str:
-    """The PLY body as a per-point loop formats it: the reference for
-    `write_ply`'s vectorised rows."""
-    out = []
+def per_row_reference(path, points, labels=None) -> None:
+    """Write an ASCII PLY as a per-point loop formats it (x/y/z with %.17g,
+    the label as an int), the format datasets were written in before PLY
+    bodies became binary: the fixture writer for `read_ply`'s ASCII path."""
+    lines = ["ply", "format ascii 1.0", f"element vertex {len(points)}"]
+    lines += [f"property double {axis}" for axis in "xyz"]
+    if labels is not None:
+        lines.append("property int instance")
+    lines.append("end_header")
     for i, p in enumerate(np.asarray(points, dtype=np.float64)):
         row = f"{p[0]:.17g} {p[1]:.17g} {p[2]:.17g}"
         if labels is not None:
             row += f" {int(labels[i])}"
-        out.append(row + "\n")
-    return "".join(out)
+        lines.append(row)
+    Path(path).write_text("\n".join(lines) + "\n")
 
 
 @pytest.fixture(scope="module")
@@ -30,12 +36,24 @@ def model():
     return generate_model(ScanConfig(n_points=2000, n_teeth=8), 13)
 
 
+def ply_cases():
+    """(points, labels) of pinned model 0 and of the edge values: signed
+    zero, tiny normals and the smallest subnormals."""
+    pinned = generate_model(BENCHMARK.scan, model_seeds(BENCHMARK, 0)[0])
+    edge = np.array([[-0.0, 1e-300, 5e-324], [0.0, -1e-300, -5e-324]])
+    return [(pinned.cloud.points, pinned.labels), (edge, np.array([0, 16]))]
+
+
+def same_bits(a, b) -> bool:
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
 class TestPly:
     def test_lossless_round_trip(self, tmp_path, model):
         path = tmp_path / "m.ply"
         aio.write_ply(path, model.cloud.points, model.labels)
         pts, labels = aio.read_ply(path)
-        assert np.array_equal(pts, model.cloud.points)  # bit-exact via %.17g
+        assert np.array_equal(pts, model.cloud.points)
         assert np.array_equal(labels, model.labels)
 
     def test_without_labels(self, tmp_path):
@@ -48,25 +66,30 @@ class TestPly:
         assert np.array_equal(got, pts)
 
     @pytest.mark.parametrize("with_labels", [True, False])
-    def test_rows_match_per_row_format(self, tmp_path, with_labels):
-        cases = [
-            generate_model(BENCHMARK.scan, model_seeds(BENCHMARK, 0)[0]),
-            None,
-        ]
-        for case in cases:
-            if case is None:  # edge values: signed zero, tiny normal, subnormal
-                pts = np.array([[-0.0, 1e-300, 5e-324], [0.0, -1e-300, -5e-324]])
-                labels = np.array([0, 16])
+    def test_binary_round_trip_bit_exact(self, tmp_path, with_labels):
+        for pts, labels in ply_cases():
+            labels = labels if with_labels else None
+            path = tmp_path / "bin.ply"
+            aio.write_ply(path, pts, labels)
+            got, got_labels = aio.read_ply(path)
+            assert same_bits(got, pts)
+            if with_labels:
+                assert same_bits(got_labels, labels.astype(np.int64))
             else:
-                pts, labels = case.cloud.points, case.labels
+                assert got_labels is None
+
+    @pytest.mark.parametrize("with_labels", [True, False])
+    def test_reads_per_row_ascii(self, tmp_path, with_labels):
+        for pts, labels in ply_cases():
             labels = labels if with_labels else None
             path = tmp_path / "rows.ply"
-            aio.write_ply(path, pts, labels)
-            got = path.read_text().split("end_header\n", 1)[1].splitlines(keepends=True)
-            want = per_row_reference(pts, labels).splitlines(keepends=True)
-            assert len(got) == len(want)
-            # the first differing row, not a diff of megabyte strings
-            assert next(((g, w) for g, w in zip(got, want) if g != w), None) is None
+            per_row_reference(path, pts, labels)
+            got, got_labels = aio.read_ply(path)
+            assert same_bits(got, pts)
+            if with_labels:
+                assert same_bits(got_labels, labels.astype(np.int64))
+            else:
+                assert got_labels is None
 
     def test_rejects_non_ply(self, tmp_path):
         path = tmp_path / "x.ply"
@@ -77,10 +100,80 @@ class TestPly:
     def test_header_structure(self, tmp_path):
         path = tmp_path / "h.ply"
         aio.write_ply(path, np.zeros((1, 3)), np.zeros(1, dtype=int))
-        header = path.read_text().split("end_header")[0]
-        assert "format ascii 1.0" in header
-        assert "property double x" in header
-        assert "property int instance" in header
+        header, body = path.read_bytes().split(b"end_header\n")
+        assert header.splitlines() == [
+            b"ply", b"format binary_little_endian 1.0", b"element vertex 1",
+            b"property double x", b"property double y", b"property double z",
+            b"property int instance",
+        ]
+        assert len(body) == 3 * 8 + 4
+
+    def test_reads_big_endian_and_other_types(self, tmp_path):
+        """A body read through the header's types and byte order: big-endian
+        floats and an unsigned byte label, with a face element after the
+        vertices that is left unread."""
+        pts = np.array([[0.5, -1.25, 3.0], [1e-3, 2.0, -0.0]], dtype=np.float32)
+        body = np.empty(2, dtype=[("x", ">f4"), ("y", ">f4"), ("z", ">f4"), ("instance", "u1")])
+        for i, axis in enumerate("xyz"):
+            body[axis] = pts[:, i]
+        body["instance"] = [3, 255]
+        header = (
+            "ply\nformat binary_big_endian 1.0\ncomment made by hand\nelement vertex 2\n"
+            "property float x\nproperty float y\nproperty float z\nproperty uchar instance\n"
+            "element face 1\nproperty list uchar int vertex_indices\nend_header\n"
+        )
+        face = b"\x03" + np.array([0, 1, 0], dtype=">i4").tobytes()
+        path = tmp_path / "be.ply"
+        path.write_bytes(header.encode() + body.tobytes() + face)
+        got, labels = aio.read_ply(path)
+        assert same_bits(got, pts.astype(np.float64))
+        assert same_bits(labels, np.array([3, 255], dtype=np.int64))
+
+    def test_truncated_body_rejected(self, tmp_path, model):
+        path = tmp_path / "cut.ply"
+        aio.write_ply(path, model.cloud.points, model.labels)
+        path.write_bytes(path.read_bytes()[:-1])
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            aio.read_ply(path)
+        per_row_reference(path, model.cloud.points, model.labels)
+        path.write_text(path.read_text().rsplit("\n", 2)[0] + "\n")
+        with pytest.raises(ValueError, match=re.escape(str(path))):
+            aio.read_ply(path)
+
+    @pytest.mark.parametrize("header, message", [
+        ("ply\nformat binary_middle_endian 1.0\nelement vertex 0\n", "unknown PLY format"),
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
+         "property double y\nproperty long z\n", "unknown PLY property type"),
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n"
+         "property list uchar double y\n", "list property"),
+        ("ply\nformat ascii 1.0\nelement face 0\nelement vertex 1\n", "before the vertex"),
+        ("ply\nformat ascii 1.0\nelement vertex 1\nproperty double x\n", "x, y and z"),
+        ("ply\nelement vertex 1\n", "missing format"),
+        ("ply\nformat ascii 1.0\nelement vertex -1\n", "bad vertex count"),
+    ], ids=["format", "type", "list", "order", "axes", "no-format", "count"])
+    def test_bad_header_rejected(self, tmp_path, header, message):
+        path = tmp_path / "bad.ply"
+        path.write_text(header + "end_header\n")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*" + message):
+            aio.read_ply(path)
+
+    def test_truncated_header_rejected(self, tmp_path):
+        path = tmp_path / "head.ply"
+        path.write_text("ply\nformat ascii 1.0\nelement vertex 1\n")
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*truncated header"):
+            aio.read_ply(path)
+
+    @pytest.mark.parametrize("label", [2**31, -(2**31) - 1, 2**40])
+    def test_labels_outside_int32_rejected(self, tmp_path, label):
+        path = tmp_path / "wide.ply"
+        with pytest.raises(ValueError, match=re.escape(str(path)) + ".*int32"):
+            aio.write_ply(path, np.zeros((2, 3)), np.array([0, label]))
+
+    def test_int32_label_limits_round_trip(self, tmp_path):
+        path = tmp_path / "limits.ply"
+        labels = np.array([-(2**31), 2**31 - 1])
+        aio.write_ply(path, np.zeros((2, 3)), labels)
+        assert np.array_equal(aio.read_ply(path)[1], labels)
 
 
 def assert_same_model(loaded, model):
