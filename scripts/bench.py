@@ -7,7 +7,9 @@ Runs `perfbench/run.py` of the tree being measured for every workload at
 seed SEED for SECONDS seconds, once untraced (the six end-to-end metrics)
 and once with `--trace 1` (the per-layer metrics), then the tier-1 test
 suite, and writes BENCH_<PR>.json into that tree: the environment block
-perfbench prints (it holds the `src/archseg` line count), both metric sets
+perfbench prints (it holds the `src/archseg` line count, and this script
+adds `settable_config_keys` beside it: the number of leaf keys of the
+tree's `ExperimentConfig().to_dict()`), both metric sets
 per workload, tier-1 wall time and summary, and `git_dirty`, which is true
 when `git status --porcelain` lists any change (perfbench's `git_commit`
 names HEAD even for a modified tree).  Every point is taken at the same
@@ -29,6 +31,12 @@ SEED = 0
 SECONDS = 30.0
 RUN_TIMEOUT_S = 600
 TIER1 = ["-m", "pytest", "-q", "--continue-on-collection-errors", "-p", "no:cacheprovider"]
+COUNT_CONFIG_KEYS = """
+from archseg.pipeline import ExperimentConfig
+def leaves(d):
+    return sum(leaves(v) if isinstance(v, dict) else 1 for v in d.values())
+print(leaves(ExperimentConfig().to_dict()))
+"""
 
 
 def perfbench(tree: Path, workload: str, trace: int) -> dict:
@@ -43,6 +51,14 @@ def perfbench(tree: Path, workload: str, trace: int) -> dict:
         if line.startswith('{"environment"'):
             result["environment"] = json.loads(line)["environment"]
     return result
+
+
+def settable_config_keys(tree: Path) -> int:
+    """Leaf keys of the tree's default config: the values a config file can set."""
+    proc = subprocess.run([sys.executable, "-c", COUNT_CONFIG_KEYS], cwd=tree,
+                          env=dict(os.environ, PYTHONPATH="src"), capture_output=True,
+                          text=True, check=True)
+    return int(proc.stdout)
 
 
 def tier1(tree: Path) -> dict:
@@ -78,6 +94,7 @@ def main(argv=None) -> int:
         }
         wall = untraced["metrics"]["wall_s_per_scan"]["value"]
         print(f"{workload}: wall_s_per_scan {wall:.4g}", flush=True)
+    out["environment"]["settable_config_keys"] = settable_config_keys(tree)
     out["tier1"] = tier1(tree)
     path = tree / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")

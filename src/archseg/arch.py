@@ -49,7 +49,6 @@ class RefineParams:
     step_size: float = 1.0
     smoothing_lambda: float = 0.5
     smoothing_passes: int = 2
-    requery_each_iteration: bool = True
 
     def __post_init__(self):
         if self.iterations < 1 or self.neighbors < 1:
@@ -157,14 +156,12 @@ def refine_arch(init: ArchPolyline, votes, params: RefineParams = RefineParams()
             f"need at least {params.neighbors} votes, got {len(positions)}"
         )
     pts = init.points.copy()
-    nn = None
     for _ in range(params.iterations):
-        if nn is None or params.requery_each_iteration:
-            d = np.linalg.norm(pts[:, None, :] - positions[None, :, :], axis=2)
-            if params.neighbors < len(positions):
-                nn = np.argpartition(d, params.neighbors - 1, axis=1)[:, : params.neighbors]
-            else:
-                nn = np.tile(np.arange(len(positions)), (len(pts), 1))
+        d = np.linalg.norm(pts[:, None, :] - positions[None, :, :], axis=2)
+        if params.neighbors < len(positions):
+            nn = np.argpartition(d, params.neighbors - 1, axis=1)[:, : params.neighbors]
+        else:
+            nn = np.tile(np.arange(len(positions)), (len(pts), 1))
         diff = positions[nn] - pts[:, None, :]
         nd = np.linalg.norm(diff, axis=2)
         w = 1.0 / np.maximum(nd, 1e-12)

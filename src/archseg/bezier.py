@@ -47,10 +47,22 @@ def bezier_derivative(curve: BezierCurve, t) -> np.ndarray:
     return _derivative(t, s, 3 * s**2, t**2, np.diff(curve.control, axis=0))
 
 
-def arc_length_params(curve: BezierCurve, fractions, segments: int = 1024) -> np.ndarray:
+# The 257-point parameter grid that seeds every projection, and its basis.
+_GRID = np.linspace(0.0, 1.0, 257)
+_GRID_BASIS = _bernstein(_GRID)
+# Newton steps per projection, Levenberg-Marquardt steps per joint polish,
+# and the alternating fit's iteration cap and RMS-improvement tolerance.
+NEWTON_STEPS = 10
+POLISH_ITERS = 200
+FIT_MAX_ITERS = 20
+FIT_TOL = 1e-14
+ARC_SEGMENTS = 1024
+
+
+def arc_length_params(curve: BezierCurve, fractions) -> np.ndarray:
     """Parameters t at which arc length reaches the given fractions of total,
-    measured along the polyline through `segments + 1` uniform-t samples."""
-    t = np.linspace(0.0, 1.0, segments + 1)
+    measured along the polyline through `ARC_SEGMENTS + 1` uniform-t samples."""
+    t = np.linspace(0.0, 1.0, ARC_SEGMENTS + 1)
     pts = _bernstein(t) @ curve.control
     seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(seg)])
@@ -61,17 +73,12 @@ def arc_length_params(curve: BezierCurve, fractions, segments: int = 1024) -> np
     return np.interp(np.asarray(fractions, dtype=np.float64) * total, cum, t)
 
 
-def bezier_sample_uniform(curve: BezierCurve, n: int, segments: int = 1024) -> np.ndarray:
+def bezier_sample_uniform(curve: BezierCurve, n: int) -> np.ndarray:
     """n points uniformly spaced in arc length (not in parameter t)."""
     if n < 2:
         raise ValueError("need at least 2 samples")
-    ts = arc_length_params(curve, np.linspace(0.0, 1.0, n), segments)
+    ts = arc_length_params(curve, np.linspace(0.0, 1.0, n))
     return _bernstein(ts) @ curve.control
-
-
-# The 257-point parameter grid that seeds every projection, and its basis.
-_GRID = np.linspace(0.0, 1.0, 257)
-_GRID_BASIS = _bernstein(_GRID)
 
 
 def _derivative(t, s, s2, t2, diffs: np.ndarray) -> np.ndarray:
@@ -92,8 +99,7 @@ def _basis_and_derivative(t: np.ndarray, diffs: np.ndarray):
     return basis, _derivative(t, s, s2, t2, diffs), s
 
 
-def _project_params(curve: BezierCurve, targets: np.ndarray, t0: np.ndarray,
-                    newton_steps: int = 10) -> np.ndarray:
+def _project_params(curve: BezierCurve, targets: np.ndarray, t0: np.ndarray) -> np.ndarray:
     """Per-target nearest-point parameters via safeguarded Newton on the
     foot-point equation f(t) = (B(t) - p) . B'(t) = 0, clamped to [0, 1].
 
@@ -116,7 +122,7 @@ def _project_params(curve: BezierCurve, targets: np.ndarray, t0: np.ndarray,
     t = np.where(take, _GRID[gi], t)
     best_d = np.where(take, g_best, best_d)
     before = None  # the state one step before (t, best_d), as bytes
-    for k in range(newton_steps):
+    for k in range(NEWTON_STEPS):
         basis, d1, s = _basis_and_derivative(t, diffs)
         d2 = 6 * s[:, None] * second[0] + 6 * t[:, None] * second[1]
         diff = basis @ p - targets
@@ -133,14 +139,14 @@ def _project_params(curve: BezierCurve, targets: np.ndarray, t0: np.ndarray,
         if after == before:
             # the states alternate from here; the last step ends on `after`
             # when an even number of steps is left after this one
-            return t_next if (newton_steps - k - 1) % 2 == 0 else t
+            return t_next if (NEWTON_STEPS - k - 1) % 2 == 0 else t
         before = state
         t, best_d = t_next, d_next
     return t
 
 
-def _polish_joint(pts: np.ndarray, ctrl: np.ndarray, t: np.ndarray,
-                  iters: int = 200) -> tuple[np.ndarray, np.ndarray] | None:
+def _polish_joint(pts: np.ndarray, ctrl: np.ndarray,
+                  t: np.ndarray) -> tuple[np.ndarray, np.ndarray] | None:
     """Levenberg-Marquardt refinement over control points and parameters jointly.
 
     Alternating projection/solve converges only linearly; damped Gauss-Newton
@@ -150,9 +156,9 @@ def _polish_joint(pts: np.ndarray, ctrl: np.ndarray, t: np.ndarray,
     gauge, so the step is well-posed and the parameters cannot drift along it.
 
     Returns the polished (control, parameters), or None if the solve did not
-    converge within `iters` steps or ended with parameters outside [0, 1] or
-    out of target order: the joint model then chases off-curve targets
-    instead of refining a fit to ordered samples.
+    converge within `POLISH_ITERS` steps or ended with parameters outside
+    [0, 1] or out of target order: the joint model then chases off-curve
+    targets instead of refining a fit to ordered samples.
     """
     n = len(pts)
     free = np.arange(1, n - 1)
@@ -163,7 +169,7 @@ def _polish_joint(pts: np.ndarray, ctrl: np.ndarray, t: np.ndarray,
     resid = (_bernstein(t) @ ctrl - pts).ravel()
     cost = resid @ resid
     h = None  # a rejected step leaves ctrl and t, so J, g and h, as they were
-    for _ in range(iters):
+    for _ in range(POLISH_ITERS):
         if h is None:
             basis, deriv, _ = _basis_and_derivative(t, np.diff(ctrl, axis=0))
             for k in range(3):
@@ -194,8 +200,7 @@ def _polish_joint(pts: np.ndarray, ctrl: np.ndarray, t: np.ndarray,
     return ctrl, t
 
 
-def _least_squares_fit(pts: np.ndarray, max_iters: int,
-                       tol: float) -> tuple[np.ndarray, np.ndarray]:
+def _least_squares_fit(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Control points and per-target parameters, all in [0, 1], before the
     affine reparametrization gauge is fixed."""
     chord = np.linalg.norm(np.diff(pts, axis=0), axis=1)
@@ -205,7 +210,7 @@ def _least_squares_fit(pts: np.ndarray, max_iters: int,
     t = cum / cum[-1]
 
     prev_residual = np.inf
-    for _ in range(max_iters):
+    for _ in range(FIT_MAX_ITERS):
         basis = _bernstein(t)
         gram = basis.T @ basis
         rhs = basis.T @ pts
@@ -216,7 +221,7 @@ def _least_squares_fit(pts: np.ndarray, max_iters: int,
             ctrl = np.linalg.solve(gram + 1e-9 * np.eye(4), rhs)
         t = _project_params(BezierCurve(ctrl), pts, t)
         residual = _rms(ctrl, t, pts)
-        if prev_residual - residual < tol:
+        if prev_residual - residual < FIT_TOL:
             break
         prev_residual = residual
     polished = _polish_joint(pts, ctrl, t)
@@ -227,7 +232,7 @@ def _rms(ctrl: np.ndarray, t: np.ndarray, pts: np.ndarray) -> float:
     return float(np.sqrt(np.mean(np.sum((_bernstein(t) @ ctrl - pts) ** 2, axis=1))))
 
 
-def fit_bezier(targets, max_iters: int = 20, tol: float = 1e-14) -> tuple[BezierCurve, float]:
+def fit_bezier(targets) -> tuple[BezierCurve, float]:
     """Least-squares cubic Bézier fit by alternating projection and solve.
 
     Parameters are initialized by chord length over the targets in their
@@ -247,7 +252,7 @@ def fit_bezier(targets, max_iters: int = 20, tol: float = 1e-14) -> tuple[Bezier
         raise ValueError(f"expected (N, 3) targets, got {pts.shape}")
     if len(pts) < 4:
         raise ValueError("need at least 4 target points for a cubic fit")
-    ctrl, t = _least_squares_fit(pts, max_iters, tol)
+    ctrl, t = _least_squares_fit(pts)
     # The fit is only determined up to affine reparametrization; canonicalize
     # so the first and last targets sit at the parameter endpoints.  Every
     # parameter lies in [0, 1], so this restricts the curve to a segment of

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as aio
-from .detection import detection_metrics
+from .detection import DetectionParams, detection_metrics
 from .pipeline import (
     ExperimentConfig,
     load_config,
@@ -289,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pred", required=True, help="labeled PLY or detection JSON")
     p.add_argument("--gt-ply", required=True)
     p.add_argument("--gt-json", required=True)
-    p.add_argument("--match-threshold", type=float, default=0.3)
+    p.add_argument("--match-threshold", type=float, default=DetectionParams().match_threshold)
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
 

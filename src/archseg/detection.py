@@ -46,8 +46,9 @@ class DetectionParams:
     match_threshold: float = 0.3
 
     def __post_init__(self):
-        if min(self.grouping_radius, self.nms_radius, self.match_threshold) <= 0:
-            raise ValueError("radii and thresholds must be positive")
+        for name in ("grouping_radius", "conf_gt_threshold", "nms_radius", "match_threshold"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.max_centroids < 1:
             raise ValueError("max_centroids must be >= 1")
 
@@ -60,6 +61,8 @@ class DetectionLossParams:
     def __post_init__(self):
         if self.gamma < 0:
             raise ValueError("gamma must be non-negative")
+        if self.huber_delta <= 0:
+            raise ValueError(f"huber_delta must be positive, got {self.huber_delta}")
 
 
 @dataclass(frozen=True)
@@ -133,12 +136,15 @@ def group_votes(selected, votes: Votes, radius: float) -> list[np.ndarray]:
     return clusters
 
 
-def make_proposals(clusters, votes: Votes, radius_scale: float = 0.1) -> Proposals:
+PROPOSAL_RADIUS_SCALE = 0.1
+
+
+def make_proposals(clusters, votes: Votes) -> Proposals:
     """Cluster means with a logistic size/spread confidence surrogate.
 
-    confidence = sigmoid(log(size) - 2 * spread / radius_scale), where spread
-    is the RMS member distance to the cluster mean: monotone up in evidence
-    mass, down in scatter.
+    confidence = sigmoid(log(size) - 2 * spread / PROPOSAL_RADIUS_SCALE),
+    where spread is the RMS member distance to the cluster mean: monotone up
+    in evidence mass, down in scatter.
     """
     if len(clusters) == 0:
         raise ValueError("no clusters")
@@ -150,13 +156,13 @@ def make_proposals(clusters, votes: Votes, radius_scale: float = 0.1) -> Proposa
         p = votes.position[np.asarray(members, dtype=np.intp)]
         mean = p.mean(axis=0)
         spread = float(np.sqrt(np.mean(np.sum((p - mean) ** 2, axis=1))))
-        logit = math.log(len(members)) - 2.0 * spread / radius_scale
+        logit = math.log(len(members)) - 2.0 * spread / PROPOSAL_RADIUS_SCALE
         means.append(mean)
         confidences.append(1.0 / (1.0 + math.exp(-logit)))
     return Proposals(position=np.asarray(means), confidence=np.asarray(confidences))
 
 
-def assign_gt_confidence(proposals: Proposals, gt_centroids, threshold: float = 0.3) -> np.ndarray:
+def assign_gt_confidence(proposals: Proposals, gt_centroids, threshold: float) -> np.ndarray:
     """Per proposal, the index of its nearest ground-truth centroid if that
     is closer than `threshold` (strict), else -1; a proposal's confidence
     label is whether it has one."""
@@ -189,7 +195,7 @@ def nms(proposals: Proposals, radius: float, max_k: int) -> np.ndarray:
     return np.asarray(kept, dtype=np.intp)
 
 
-def detection_metrics(pred_centroids, gt_centroids, match_threshold: float = 0.3) -> dict:
+def detection_metrics(pred_centroids, gt_centroids, match_threshold: float) -> dict:
     """Accuracy / recall / chamfer for predicted vs ground-truth centroids.
 
     One-to-one matching by minimum-total-distance assignment; matched pairs
@@ -246,7 +252,7 @@ def detection_loss(
     }
 
 
-def pregroup_votes(votes: Votes, radius: float, min_size_frac: float = 0.25) -> np.ndarray:
+def pregroup_votes(votes: Votes, radius: float, min_size_frac: float) -> np.ndarray:
     """Radius-based vote clustering for the coarse arch fit.
 
     Greedy leader selection in index order, members assigned to the nearest

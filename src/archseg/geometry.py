@@ -162,10 +162,8 @@ def chamfer_distance(p1: PointCloud, p2: PointCloud) -> float:
     return float(np.sum(d_ab**2) + np.sum(d_ba**2))
 
 
-def huber_l1(pred, target, delta: float = 1.0) -> float:
-    """Mean Huber loss over components: quadratic below delta, linear above."""
-    if delta <= 0:
-        raise ValueError("delta must be positive")
+def huber_l1(pred, target, delta: float) -> float:
+    """Mean Huber loss over components: quadratic below delta > 0, linear above."""
     p = np.asarray(pred, dtype=np.float64).ravel()
     t = np.asarray(target, dtype=np.float64).ravel()
     if p.shape != t.shape:

@@ -271,11 +271,13 @@ def estimate_arch(votes, config: ExperimentConfig, stages=None, keys=None) -> Ar
 
 
 def select_votes(votes, arch: ArchPolyline, config: ExperimentConfig, seed: int) -> np.ndarray:
+    """The sampled vote indices, min(`sampling.n_samples`, vote count) of them."""
+    n = min(config.sampling.n_samples, len(votes))
     if config.sampling_method == "aps":
-        return arch_aware_sampling(votes, arch, config.sampling)
+        return arch_aware_sampling(votes, arch, replace(config.sampling, n_samples=n))
     if config.sampling_method == "fps":
-        return fps_vote_sampling(votes, config.sampling.n_samples)
-    return random_vote_sampling(votes, config.sampling.n_samples, seed)
+        return fps_vote_sampling(votes, n)
+    return random_vote_sampling(votes, n, seed)
 
 
 def run_model(
@@ -357,13 +359,7 @@ class MetricsReport:
     seconds: float
 
     def to_dict(self) -> dict:
-        return {
-            "config": self.config.to_dict(),
-            "per_model": self.per_model,
-            "failures": self.failures,
-            "aggregate": self.aggregate,
-            "seconds": self.seconds,
-        }
+        return _encode(self)
 
     def save(self, path) -> None:
         with open(path, "w") as fh:

@@ -101,9 +101,9 @@ def crop_patch(model: DentalModel, center, params: SegParams = SegParams()) -> P
     return Patch(center=c, point_indices=idx, relative_coords=pts[idx] - c)
 
 
-def _table_neighbours(patch: Patch, table: NeighbourTable | None, k: int):
+def _table_neighbours(patch: Patch, table: NeighbourTable, k: int):
     """(settled, nn, dist): a mask of the rows whose k nearest other patch
-    points `table` (the cloud's NeighbourTable, or None) settles, and for
+    points `table` (the cloud's NeighbourTable) settles, and for
     those rows the points and distances the patch's own cKDTree query
     returns (after its self-match).
 
@@ -118,7 +118,7 @@ def _table_neighbours(patch: Patch, table: NeighbourTable | None, k: int):
     """
     pts = patch.relative_coords
     n = len(pts)
-    if table is None or not 0 < k < TABLE_K:
+    if not 0 < k < TABLE_K:
         return np.zeros(n, dtype=bool), np.empty((0, k), dtype=np.intp), np.empty((0, k))
     idx = patch.point_indices
     local = np.full(len(table.reach), -1, dtype=np.intp)
@@ -142,9 +142,7 @@ def _table_neighbours(patch: Patch, table: NeighbourTable | None, k: int):
     return settled, cand[sel].reshape(-1, k), r[sel].reshape(-1, k)
 
 
-def segment_patch(
-    patch: Patch, params: SegParams = SegParams(), table: NeighbourTable | None = None
-) -> PatchMask:
+def segment_patch(patch: Patch, params: SegParams, table: NeighbourTable) -> PatchMask:
     """Geodesic region growing from the point nearest the patch center.
 
     k-NN graph edges longer than twice the median edge length are removed,
@@ -156,9 +154,8 @@ def segment_patch(
 
     Each point's k nearest other patch points are those of the patch's own
     cKDTree query.  Rows `table` (the model's `neighbour_table`) settles
-    (`_table_neighbours`) are read from it; every other row, and every row
-    when no table is given, queries the patch tree.  The mask is the same
-    either way.  A degenerate mask is the seed alone at probability 1.
+    (`_table_neighbours`) are read from it; every other row queries the
+    patch tree.  A degenerate mask is the seed alone at probability 1.
     """
     pts = patch.relative_coords
     n = len(pts)

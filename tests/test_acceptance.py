@@ -27,7 +27,7 @@ from archseg.geometry import (
     k_nearest,
 )
 from archseg.pipeline import model_seeds, run_dataset
-from archseg.segmentation import crop_patch, fuse_patches, iou_dice, segment_patch
+from archseg.segmentation import crop_patch, fuse_patches, iou_dice, neighbour_table, segment_patch
 from archseg.synthetic import (
     DEFAULT_ARCH_CONTROL,
     VoteNoiseModel,
@@ -178,7 +178,8 @@ def test_criterion_7_oracle_segmentation(benchmark_config):
     for i in range(benchmark_config.n_models):
         scan_seed, _ = model_seeds(benchmark_config, i)
         model = generate_model(benchmark_config.scan, scan_seed)
-        masks = [segment_patch(crop_patch(model, c, seg), seg) for c in model.centroids]
+        table = neighbour_table(model.cloud.points)
+        masks = [segment_patch(crop_patch(model, c, seg), seg, table) for c in model.centroids]
         r = iou_dice(fuse_patches(model, masks, seg), model.labels)
         ious.append(r["mean_iou"])
         dices.append(r["mean_dice"])
@@ -205,9 +206,9 @@ def test_criterion_8_metric_identities(full_report):
 
     gt = np.array([[0.0, 0, 0], [1.0, 0, 0]])
     pred = np.vstack([gt, [[5.0, 0, 0]]])
-    m = detection_metrics(pred, gt)
+    m = detection_metrics(pred, gt, 0.3)
     assert m["accuracy"] == pytest.approx(100 * 2 / 3) and m["recall"] == 100.0
-    m = detection_metrics(gt[:1], gt)
+    m = detection_metrics(gt[:1], gt, 0.3)
     assert m["accuracy"] == 100.0 and m["recall"] == 50.0
     assert detection_metrics(np.array([[0.3, 0.0, 0.0]]), gt[:1], 0.3)["accuracy"] == 0.0
     report("criterion 8 (metric identities)", time.perf_counter() - t0,

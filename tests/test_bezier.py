@@ -147,7 +147,7 @@ class TestFit:
         # the cubic and flung its inner control points to y = -2.17.  An
         # arch's inner control points sit a third of its depth beyond the
         # curve, well within half the targets' extent of their bounding box.
-        _, t = _least_squares_fit(CLUTTERED_ARCH, 20, 1e-14)
+        _, t = _least_squares_fit(CLUTTERED_ARCH)
         assert t.min() >= 0.0 and t.max() <= 1.0
         fitted, residual = fit_bezier(CLUTTERED_ARCH)
         lo, hi = CLUTTERED_ARCH.min(axis=0), CLUTTERED_ARCH.max(axis=0)

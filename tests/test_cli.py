@@ -253,6 +253,14 @@ class TestRun:
                 dict(TINY_CONFIG, pregroup_min_size_frac=-0.1),
                 "pregroup_min_size_frac must be in [0, 1], got -0.1", id="min_size_frac_below_0",
             ),
+            pytest.param(
+                dict(TINY_CONFIG, loss={"huber_delta": -1.0}),
+                "huber_delta must be positive, got -1.0", id="huber_delta",
+            ),
+            pytest.param(
+                dict(TINY_CONFIG, detection={"conf_gt_threshold": 0.0}),
+                "conf_gt_threshold must be positive, got 0.0", id="conf_gt_threshold",
+            ),
         ],
     )
     def test_cross_field_config_exit_2(self, tmp_path, capsys, config, message):

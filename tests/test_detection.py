@@ -213,20 +213,20 @@ class TestNMS:
 class TestDetectionMetrics:
     def test_perfect(self):
         gt = np.random.default_rng(7).normal(size=(5, 3))
-        m = detection_metrics(gt, gt)
+        m = detection_metrics(gt, gt, 0.3)
         assert m["accuracy"] == 100.0 and m["recall"] == 100.0 and m["chamfer"] == 0.0
 
     def test_extra_prediction_lowers_accuracy(self):
         gt = np.array([[0.0, 0, 0], [1.0, 0, 0]])
         pred = np.vstack([gt, [[5.0, 0, 0]]])
-        m = detection_metrics(pred, gt)
+        m = detection_metrics(pred, gt, 0.3)
         assert m["accuracy"] == pytest.approx(100 * 2 / 3)
         assert m["recall"] == 100.0
 
     def test_missed_gt_lowers_recall(self):
         gt = np.array([[0.0, 0, 0], [1.0, 0, 0], [2.0, 0, 0]])
         pred = gt[:2]
-        m = detection_metrics(pred, gt)
+        m = detection_metrics(pred, gt, 0.3)
         assert m["accuracy"] == 100.0
         assert m["recall"] == pytest.approx(100 * 2 / 3)
 
@@ -240,7 +240,7 @@ class TestDetectionMetrics:
         # two predictions on one gt: only one can match
         gt = np.array([[0.0, 0, 0], [10.0, 0, 0]])
         pred = np.array([[0.01, 0, 0], [0.02, 0, 0]])
-        m = detection_metrics(pred, gt)
+        m = detection_metrics(pred, gt, 0.3)
         assert m["accuracy"] == 50.0
         assert m["recall"] == 50.0
 
@@ -274,7 +274,7 @@ class TestPregroup:
         rng = np.random.default_rng(8)
         blobs = [np.array([k * 1.0, 0, 0]) + 0.01 * rng.normal(size=(30, 3)) for k in range(4)]
         vts = votes_at(np.concatenate(blobs))
-        centers = pregroup_votes(vts, radius=0.2)
+        centers = pregroup_votes(vts, radius=0.2, min_size_frac=0.25)
         assert len(centers) == 4
         for k in range(4):
             assert np.linalg.norm(centers - [k, 0, 0], axis=1).min() < 0.02

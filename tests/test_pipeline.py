@@ -12,6 +12,7 @@ from archseg.pipeline import (
     ExperimentConfig,
     MetricsReport,
     aggregate_metrics,
+    estimate_arch,
     load_config,
     model_seeds,
     run_dataset,
@@ -21,7 +22,7 @@ from archseg.pipeline import (
     stage_keys,
 )
 from archseg.segmentation import PatchMask, SegParams
-from archseg.synthetic import ScanConfig, VoteNoiseModel, generate_model
+from archseg.synthetic import ScanConfig, VoteNoiseModel, generate_model, simulate_votes
 
 TINY = ExperimentConfig(
     n_models=3,
@@ -140,13 +141,29 @@ class TestRunDataset:
             assert val == pytest.approx(np.mean(vals), abs=1e-12)
 
     def test_failure_recorded_run_continues(self):
-        # more APS samples than any model has votes makes every model fail
-        bad = dataclasses.replace(
-            TINY, sampling=dataclasses.replace(TINY.sampling, n_samples=300), n_models=2
-        )
+        # keeping only the largest vote cluster leaves every model with
+        # fewer than 2 arch centres
+        bad = dataclasses.replace(TINY, pregroup_min_size_frac=1.0, n_models=2)
         rep = run_dataset(bad)
         assert len(rep.failures) == 2
+        assert all("need at least 2 centroids" in f["error"] for f in rep.failures)
         assert rep.per_model == []
+
+    @pytest.mark.parametrize("method", pipeline.SAMPLING_METHODS)
+    def test_n_samples_is_an_upper_bound(self, method):
+        """A model with fewer votes than n_samples takes one sample per vote."""
+        cfg = dataclasses.replace(
+            TINY, sampling=dataclasses.replace(TINY.sampling, n_samples=300),
+            sampling_method=method, n_models=2, with_segmentation=False,
+        )
+        rep = run_dataset(cfg)
+        assert rep.failures == []
+        assert all(m["n_votes"] < 300 for m in rep.per_model)
+        scan_seed, vote_seed = model_seeds(cfg, 0)
+        votes = simulate_votes(generate_model(cfg.scan, scan_seed), cfg.vote_subsample,
+                               cfg.noise, vote_seed)
+        selected = pipeline.select_votes(votes, estimate_arch(votes, cfg), cfg, vote_seed)
+        assert len(selected) == len(votes)
 
     @pytest.mark.skipif(
         multiprocessing.get_start_method() != "fork",

@@ -36,6 +36,11 @@ def params():
     return SegParams(patch_size=512, prob_decay=2.0)
 
 
+@pytest.fixture(scope="module")
+def table(model):
+    return neighbour_table(model.cloud.points)
+
+
 def patch_probabilities(patch, mask):
     """The mask's probabilities scattered back onto its patch: 0 at every
     patch point the mask leaves out."""
@@ -86,25 +91,25 @@ class TestCropPatch:
 
 
 class TestSegmentPatch:
-    def test_probabilities_in_range_and_monotone(self, model, params):
+    def test_probabilities_in_range_and_monotone(self, model, params, table):
         patch = crop_patch(model, model.centroids[2], params)
-        mask = segment_patch(patch, params)
+        mask = segment_patch(patch, params, table)
         assert (mask.probabilities > 0).all() and (mask.probabilities <= 1).all()
         assert mask.probabilities.max() == 1.0
 
-    def test_covers_own_tooth(self, model, params):
+    def test_covers_own_tooth(self, model, params, table):
         for k in (1, 5, 9):
             patch = crop_patch(model, model.centroids[k - 1], params)
-            probs = patch_probabilities(patch, segment_patch(patch, params))
+            probs = patch_probabilities(patch, segment_patch(patch, params, table))
             patch_labels = model.labels[patch.point_indices]
             own = patch_labels == k
             accepted = probs >= params.accept_prob
             iou = (own & accepted).sum() / (own | accepted).sum()
             assert iou > 0.85
 
-    def test_excludes_gingiva(self, model, params):
+    def test_excludes_gingiva(self, model, params, table):
         patch = crop_patch(model, model.centroids[4], params)
-        probs = patch_probabilities(patch, segment_patch(patch, params))
+        probs = patch_probabilities(patch, segment_patch(patch, params, table))
         gum = model.labels[patch.point_indices] == 0
         leak = (probs[gum] >= params.accept_prob).mean() if gum.any() else 0
         assert leak < 0.05
@@ -126,7 +131,7 @@ class TestSegmentPatch:
             relative_coords=pts - [5.0, 5.0, 5.0],
         )
         with pytest.warns(UserWarning):
-            mask = segment_patch(patch, SegParams(patch_size=64))
+            mask = segment_patch(patch, SegParams(patch_size=64), neighbour_table(pts))
         assert mask.degenerate
         assert mask.probabilities.sum() == 1.0
         assert np.array_equal(mask.point_indices, [63])
@@ -185,8 +190,9 @@ class TestIoUDice:
         assert r["mean_iou"] == pytest.approx(50.0)
         assert r["mean_dice"] == pytest.approx(200 / 3)
 
-    def test_dice_iou_identity(self, model, params):
-        masks = [segment_patch(crop_patch(model, c, params), params) for c in model.centroids]
+    def test_dice_iou_identity(self, model, params, table):
+        masks = [segment_patch(crop_patch(model, c, params), params, table)
+                 for c in model.centroids]
         r = iou_dice(fuse_patches(model, masks, params), model.labels)
         for row in r["per_instance"]:
             if row["pred_id"] is not None:
@@ -350,11 +356,10 @@ def segment_patch_reference(patch, params):
     return probs, False
 
 
-def assert_patches_match_reference(model, centers, params, untabled=True):
-    """Each centre's patch, and its mask with the model's table and without
-    one (if `untabled`), are bitwise the reference's (for the mask, the
-    reference's probability > 0 part); returns the settled-row count and
-    the row count."""
+def assert_patches_match_reference(model, centers, params):
+    """Each centre's patch, and its mask with the model's table, are bitwise
+    the reference's (for the mask, the reference's probability > 0 part);
+    returns the settled-row count and the row count."""
     table = neighbour_table(model.cloud.points)
     settled = rows = 0
     for center in centers:
@@ -364,18 +369,15 @@ def assert_patches_match_reference(model, centers, params, untabled=True):
         assert np.array_equal(patch.relative_coords, want.relative_coords)
         with warnings.catch_warnings():  # degenerate patches warn
             warnings.simplefilter("ignore")
-            masks = [segment_patch(patch, params, table)]
-            if untabled:
-                masks.append(segment_patch(patch, params))
+            mask = segment_patch(patch, params, table)
         probs, degenerate = segment_patch_reference(want, params)
         keep = probs > 0
-        for mask in masks:
-            assert mask.degenerate == degenerate
-            assert np.array_equal(mask.point_indices, want.point_indices[keep])
-            assert np.array_equal(mask.probabilities, probs[keep])
-            assert np.array_equal(
-                mask.distances, np.linalg.norm(want.relative_coords[keep], axis=1)
-            )
+        assert mask.degenerate == degenerate
+        assert np.array_equal(mask.point_indices, want.point_indices[keep])
+        assert np.array_equal(mask.probabilities, probs[keep])
+        assert np.array_equal(
+            mask.distances, np.linalg.norm(want.relative_coords[keep], axis=1)
+        )
         # the settled rows hold the neighbours the patch tree gives them
         k = min(params.knn_graph_k, len(patch.point_indices) - 1)
         rows_settled, nn, dist = _table_neighbours(patch, table, k)
@@ -406,8 +408,7 @@ class TestPatchEquivalence:
             )
             picks = model.centroids[[0, model.n_teeth // 2, -1]]
             s, r = assert_patches_match_reference(
-                model, [*picks, extreme_x_point(model)], benchmark_config.segmentation,
-                untabled=False,
+                model, [*picks, extreme_x_point(model)], benchmark_config.segmentation
             )
             settled, rows = settled + s, rows + r
         assert 0.9 < settled / rows < 1.0  # both paths run
