@@ -56,6 +56,9 @@ NEWTON_STEPS = 10
 POLISH_ITERS = 200
 FIT_MAX_ITERS = 20
 FIT_TOL = 1e-14
+# Relative tolerance for targets to lie on one cubic and for a fit to pass
+# through them (RMS distance over the targets' largest extent).
+EXACT_TOL = 1e-9
 ARC_SEGMENTS = 1024
 
 
@@ -200,9 +203,25 @@ def _polish_joint(pts: np.ndarray, ctrl: np.ndarray,
     return ctrl, t
 
 
+def _on_a_cubic(pts: np.ndarray) -> bool:
+    """Whether the targets can lie on one cubic Bézier curve.  Every
+    polynomial cubic lies on three independent quadrics (an affine image of
+    t -> (t, t^2, t^3) on y = x^2, z = xy and xz = y^2; a planar one on its
+    plane times x, y, z and 1), so the eighth singular value of the targets'
+    ten quadric monomials vanishes.  Noisy targets fail this at once."""
+    q = pts - pts.mean(axis=0)
+    x, y, z = (q / np.abs(q).max()).T
+    quadric = np.column_stack([x * x, y * y, z * z, x * y, x * z, y * z, x, y, z, np.ones_like(x)])
+    sv = np.linalg.svd(quadric, compute_uv=False)
+    return len(sv) < 8 or sv[7] <= EXACT_TOL * sv[0]
+
+
 def _least_squares_fit(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Control points and per-target parameters, all in [0, 1], before the
-    affine reparametrization gauge is fixed."""
+    affine reparametrization gauge is fixed.  From chord-length parameters
+    even exact samples of a cubic can end in a folded basin that the polish
+    cannot leave, so a fit that misses targets on a cubic is polished again
+    from uniform parameters; that fit is kept only if it passes through them."""
     chord = np.linalg.norm(np.diff(pts, axis=0), axis=1)
     cum = np.concatenate([[0.0], np.cumsum(chord)])
     if cum[-1] <= 0:
@@ -225,7 +244,15 @@ def _least_squares_fit(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
             break
         prev_residual = residual
     polished = _polish_joint(pts, ctrl, t)
-    return (ctrl, t) if polished is None else polished
+    if polished is not None:
+        ctrl, t = polished
+    tol = EXACT_TOL * np.ptp(pts, axis=0).max()
+    if _rms(ctrl, t, pts) > tol and _on_a_cubic(pts):
+        t0 = np.linspace(0.0, 1.0, len(pts))
+        restart = _polish_joint(pts, np.linalg.lstsq(_bernstein(t0), pts)[0], t0)
+        if restart is not None and _rms(*restart, pts) <= tol:
+            return restart
+    return ctrl, t
 
 
 def _rms(ctrl: np.ndarray, t: np.ndarray, pts: np.ndarray) -> float:
@@ -241,7 +268,8 @@ def fit_bezier(targets) -> tuple[BezierCurve, float]:
     system.  A joint Levenberg-Marquardt polish then finishes the
     convergence quadratically; it is kept only if it converges with the
     parameters still in [0, 1] and in target order, and otherwise the
-    alternating fit stands.  The parameters never leave [0, 1], so the
+    alternating fit stands, unless a restart fits targets on a cubic that
+    it misses.  The parameters never leave [0, 1], so the
     cubic is never extrapolated and small changes of the targets are not
     amplified.
     Returns the final curve, on which the first and last targets sit at

@@ -10,6 +10,7 @@ from archseg.bezier import (
     BezierCurve,
     _bernstein,
     _least_squares_fit,
+    _on_a_cubic,
     _project_params,
     arc_length_params,
     bezier_derivative,
@@ -102,7 +103,11 @@ class TestReparametrize:
 
 
 class TestFit:
-    @pytest.mark.parametrize("seed", range(8))
+    # From chord-length parameters, seeds 1231, 1308 and 1554 end in a
+    # folded basin whose polish is rejected (residual 6e-3 to 6e-2), and
+    # 7769 and 8175 in a polish that stalls off the curve (residual 1e-4 to
+    # 6e-4); the restart from uniform parameters fits them.
+    @pytest.mark.parametrize("seed", [*range(8), 1231, 1308, 1554, 7769, 8175])
     def test_round_trip_exact_samples(self, seed):
         c = arch_like_curve(seed)
         targets = bezier_eval(c, np.linspace(0, 1, 16))
@@ -140,6 +145,34 @@ class TestFit:
         targets = bezier_eval(c, np.linspace(0, 1, 16))
         _, residual = fit_bezier(targets)
         assert residual < 1e-7
+
+    @pytest.mark.parametrize("seed", [3043, 7156, 8175])
+    def test_round_trip_unevenly_spaced_samples(self, seed):
+        # exact samples at random parameters that the chord-length fit
+        # misses too, so the restart is not tied to evenly spaced samples
+        rng = np.random.default_rng(seed + 10**6)
+        n = int(rng.integers(8, 30))
+        targets = bezier_eval(arch_like_curve(seed), np.sort(rng.uniform(0, 1, n)))
+        _, residual = fit_bezier(targets)
+        assert residual < 1e-7
+
+    def test_on_a_cubic(self):
+        t = np.sort(np.random.default_rng(0).uniform(0, 1, 20))
+        exact = bezier_eval(arch_like_curve(4), t)
+        assert _on_a_cubic(exact)
+        assert _on_a_cubic(bezier_eval(LINE, t))
+        planar = arch_like_curve(5).control.copy()
+        planar[:, 2] = 0.5
+        assert _on_a_cubic(bezier_eval(BezierCurve(planar), t))
+        noisy = exact + np.random.default_rng(1).normal(0, 1e-4, exact.shape)
+        assert not _on_a_cubic(noisy)
+        assert not _on_a_cubic(CLUTTERED_ARCH)
+
+    def test_restart_keeps_fits_off_a_cubic(self):
+        # targets no cubic passes through never reach the restart's polish
+        with mock.patch.object(bezier, "_polish_joint", wraps=bezier._polish_joint) as spy:
+            fit_bezier(CLUTTERED_ARCH)
+        assert spy.call_count == 1
 
     def test_cluttered_targets_stay_in_range(self):
         # Off-curve targets interleaved with ordered ones must not drive the
