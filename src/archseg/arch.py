@@ -12,6 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .bezier import BezierCurve, bezier_sample_uniform
+from .geometry import ORIGIN, distances
 
 ARCH_POINTS = 32
 
@@ -28,7 +29,7 @@ class ArchPolyline:
             raise ValueError(f"arch polyline must have exactly {ARCH_POINTS} points, got {pts.shape}")
         if not np.isfinite(pts).all():
             raise ValueError("arch points must be finite")
-        spacing = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+        spacing = distances(pts[1:], pts[:-1])
         if np.any(spacing <= 1e-9):
             raise ValueError("consecutive arch points must be non-coincident")
         pts.setflags(write=False)
@@ -88,7 +89,7 @@ def order_centroids(centroids: np.ndarray) -> np.ndarray:
 
 def _resample_chain(vertices: np.ndarray, arc_positions: np.ndarray) -> np.ndarray:
     """Points at given arc-length positions along a piecewise-linear chain."""
-    seg = np.linalg.norm(np.diff(vertices, axis=0), axis=1)
+    seg = distances(vertices[1:], vertices[:-1])
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     out = np.empty((len(arc_positions), 3))
     for k in range(3):
@@ -110,7 +111,7 @@ def build_target_arch(centroids) -> ArchPolyline:
     if len(c) < 2:
         raise ValueError("need at least 2 centroids")
     chain = c[order_centroids(c)]
-    seg = np.linalg.norm(np.diff(chain, axis=0), axis=1)
+    seg = distances(chain[1:], chain[:-1])
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = cum[-1]
     if total <= 0:
@@ -157,13 +158,13 @@ def refine_arch(init: ArchPolyline, votes, params: RefineParams = RefineParams()
         )
     pts = init.points.copy()
     for _ in range(params.iterations):
-        d = np.linalg.norm(pts[:, None, :] - positions[None, :, :], axis=2)
+        d = distances(pts[:, None, :], positions[None, :, :])
         if params.neighbors < len(positions):
             nn = np.argpartition(d, params.neighbors - 1, axis=1)[:, : params.neighbors]
         else:
             nn = np.tile(np.arange(len(positions)), (len(pts), 1))
         diff = positions[nn] - pts[:, None, :]
-        nd = np.linalg.norm(diff, axis=2)
+        nd = distances(diff, ORIGIN)
         w = 1.0 / np.maximum(nd, 1e-12)
         w /= w.sum(axis=1, keepdims=True)
         raw = np.einsum("ik,ikj->ij", w, diff)

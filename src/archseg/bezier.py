@@ -7,6 +7,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .geometry import distances
+
 
 @dataclass(frozen=True)
 class BezierCurve:
@@ -67,7 +69,7 @@ def arc_length_params(curve: BezierCurve, fractions) -> np.ndarray:
     measured along the polyline through `ARC_SEGMENTS + 1` uniform-t samples."""
     t = np.linspace(0.0, 1.0, ARC_SEGMENTS + 1)
     pts = _bernstein(t) @ curve.control
-    seg = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    seg = distances(pts[1:], pts[:-1])
     cum = np.concatenate([[0.0], np.cumsum(seg)])
     total = cum[-1]
     if total <= 0:
@@ -117,8 +119,8 @@ def _project_params(curve: BezierCurve, targets: np.ndarray, t0: np.ndarray) -> 
     diffs = np.diff(p, axis=0)
     second = (p[2] - 2 * p[1] + p[0], p[3] - 2 * p[2] + p[1])
     t = t0.copy()
-    best_d = np.linalg.norm(_bernstein(t) @ p - targets, axis=1)
-    d_grid = np.linalg.norm(targets[:, None, :] - (_GRID_BASIS @ p)[None, :, :], axis=2)
+    best_d = distances(_bernstein(t) @ p, targets)
+    d_grid = distances(targets[:, None, :], (_GRID_BASIS @ p)[None, :, :])
     gi = np.argmin(d_grid, axis=1)
     g_best = d_grid[np.arange(len(targets)), gi]
     take = g_best < best_d
@@ -133,7 +135,7 @@ def _project_params(curve: BezierCurve, targets: np.ndarray, t0: np.ndarray) -> 
         fp = np.einsum("ij,ij->i", d1, d1) + np.einsum("ij,ij->i", diff, d2)
         step = np.where(np.abs(fp) > 1e-300, f / np.where(fp == 0, 1.0, fp), 0.0)
         t_new = np.clip(t - step, 0.0, 1.0)
-        d_new = np.linalg.norm(_bernstein(t_new) @ p - targets, axis=1)
+        d_new = distances(_bernstein(t_new) @ p, targets)
         accept = d_new <= best_d
         t_next, d_next = np.where(accept, t_new, t), np.where(accept, d_new, best_d)
         state, after = (t.tobytes(), best_d.tobytes()), (t_next.tobytes(), d_next.tobytes())
@@ -222,7 +224,7 @@ def _least_squares_fit(pts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     even exact samples of a cubic can end in a folded basin that the polish
     cannot leave, so a fit that misses targets on a cubic is polished again
     from uniform parameters; that fit is kept only if it passes through them."""
-    chord = np.linalg.norm(np.diff(pts, axis=0), axis=1)
+    chord = distances(pts[1:], pts[:-1])
     cum = np.concatenate([[0.0], np.cumsum(chord)])
     if cum[-1] <= 0:
         raise ValueError("targets are fully coincident")

@@ -16,7 +16,9 @@ import numpy as np
 
 from .arch import ARCH_POINTS, ArchPolyline
 from .assignment import hungarian_assign
-from .geometry import PointCloud, chamfer_distance, cross_entropy, farthest_point_sampling, huber_l1
+from .geometry import (
+    PointCloud, chamfer_distance, cross_entropy, distances, farthest_point_sampling, huber_l1,
+)
 from .synthetic import DentalModel, Votes, ground_truth_offsets
 
 
@@ -31,10 +33,6 @@ class SamplingParams:
             raise ValueError("alpha and beta must be non-negative")
         if self.n_samples < 1:
             raise ValueError("n_samples must be >= 1")
-
-    @property
-    def slots_per_arch_point(self) -> int:
-        return math.ceil(self.n_samples / ARCH_POINTS)
 
 
 @dataclass(frozen=True)
@@ -79,21 +77,17 @@ class Proposals:
 def aps_cost_matrix(votes: Votes, arch: ArchPolyline, params: SamplingParams) -> np.ndarray:
     """Slot-by-vote assignment cost.
 
-    Rows cycle through the 32 arch points (slots_per_arch_point copies each,
-    truncated to n_samples); entry = alpha * ||vote - arch point|| +
-    beta * vote displacement norm.
+    Row i is slot i, at arch point i mod 32, for n_samples rows; entry =
+    alpha * ||vote - arch point|| + beta * vote displacement norm.  The 32
+    distinct rows are computed once.
     """
     if params.n_samples > len(votes):
         raise ValueError(
             f"n_samples={params.n_samples} exceeds vote count {len(votes)}"
         )
-    slot_arch = np.tile(np.arange(ARCH_POINTS), params.slots_per_arch_point)[
-        : params.n_samples
-    ]
-    d_arch = np.linalg.norm(
-        arch.points[slot_arch][:, None, :] - votes.position[None, :, :], axis=2
-    )
-    return params.alpha * d_arch + params.beta * votes.displacement_norm[None, :]
+    d_arch = distances(arch.points[:, None, :], votes.position[None, :, :])
+    cost = params.alpha * d_arch + params.beta * votes.displacement_norm[None, :]
+    return cost[np.arange(params.n_samples) % ARCH_POINTS]
 
 
 def arch_aware_sampling(votes: Votes, arch: ArchPolyline, params: SamplingParams) -> np.ndarray:
@@ -129,11 +123,9 @@ def group_votes(selected, votes: Votes, radius: float) -> list[np.ndarray]:
     if radius <= 0:
         raise ValueError("radius must be positive")
     pos = votes.position
-    clusters = []
-    for s in np.asarray(selected, dtype=np.intp):
-        d = np.linalg.norm(pos - pos[s], axis=1)
-        clusters.append(np.flatnonzero(d <= radius))
-    return clusters
+    sel = np.asarray(selected, dtype=np.intp)
+    near = distances(pos[sel, None, :], pos[None, :, :]) <= radius
+    return [np.flatnonzero(row) for row in near]
 
 
 PROPOSAL_RADIUS_SCALE = 0.1
@@ -169,7 +161,7 @@ def assign_gt_confidence(proposals: Proposals, gt_centroids, threshold: float) -
     gt = np.asarray(gt_centroids, dtype=np.float64).reshape(-1, 3)
     assigned = np.full(len(proposals), -1, dtype=np.intp)
     if len(gt):
-        d = np.linalg.norm(gt[None, :, :] - proposals.position[:, None, :], axis=2)
+        d = distances(gt[None, :, :], proposals.position[:, None, :])
         nearest = np.argmin(d, axis=1)
         hit = d.min(axis=1) < threshold
         assigned[hit] = nearest[hit]
@@ -206,7 +198,7 @@ def detection_metrics(pred_centroids, gt_centroids, match_threshold: float) -> d
     gt = np.asarray(gt_centroids, dtype=np.float64).reshape(-1, 3)
     if len(pred) == 0 or len(gt) == 0:
         raise ValueError("empty centroid set")
-    d = np.linalg.norm(pred[:, None, :] - gt[None, :, :], axis=2)
+    d = distances(pred[:, None, :], gt[None, :, :])
     if len(pred) > len(gt):
         d = d.T  # hungarian_assign needs rows <= columns
     assignment, _ = hungarian_assign(d)
@@ -256,25 +248,28 @@ def pregroup_votes(votes: Votes, radius: float, min_size_frac: float) -> np.ndar
     """Radius-based vote clustering for the coarse arch fit.
 
     Greedy leader selection in index order, members assigned to the nearest
-    leader; clusters smaller than min_size_frac of the largest are dropped
-    (sparse clutter clusters do not survive).  Returns cluster mean positions.
+    leader (the earliest on ties); clusters smaller than min_size_frac of the
+    largest are dropped (sparse clutter clusters do not survive).  Returns
+    the kept clusters' mean positions.
 
     A vote leads iff no earlier leader lies within `radius` of it, so the
     loop runs over leaders: each leader's distances to every vote mark the
     votes it covers, and the next leader is the first vote no leader covers
-    so far.  Those distances are also the columns the members' argmin reads.
+    so far.  Each vote keeps its nearest leader so far, replaced only by a
+    strictly nearer one.
     """
     pos = votes.position
     covered = np.zeros(len(pos), dtype=bool)
-    columns = []
-    leader = 0
+    nearest = np.full(len(pos), np.inf)
+    member_of = np.zeros(len(pos), dtype=np.intp)
+    n_leaders = leader = 0
     while not covered[leader]:
-        d = np.linalg.norm(pos - pos[leader], axis=1)
-        columns.append(d)
+        d = distances(pos, pos[leader])
+        member_of[d < nearest] = n_leaders
+        np.minimum(nearest, d, out=nearest)
+        n_leaders += 1
         covered |= d <= radius
         leader = int(covered.argmin())  # every vote before it is covered
-    member_of = np.argmin(np.stack(columns, axis=1), axis=1)
-    sizes = np.bincount(member_of, minlength=len(columns))
-    centers = np.stack([pos[member_of == k].mean(axis=0) for k in range(len(columns))])
-    keep = sizes >= min_size_frac * sizes.max()
-    return centers[keep]
+    sizes = np.bincount(member_of, minlength=n_leaders)
+    keep = np.flatnonzero(sizes >= min_size_frac * sizes.max())
+    return np.stack([pos[member_of == k].mean(axis=0) for k in keep])

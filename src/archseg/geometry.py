@@ -3,7 +3,8 @@
 All coordinates live in normalized model units: the cloud is centered at the
 origin and scaled so the farthest point sits at distance 1 (see
 ``normalize_model``).  Every function here is pure and deterministic; any
-randomness comes in through an explicit seed.  ``k_nearest`` is the exact
+randomness comes in through an explicit seed.  ``distances`` is the one
+Euclidean distance kernel over (..., 3) arrays, and ``k_nearest`` the exact
 k-nearest contract (ties to the lower index) that patch crops follow.
 """
 
@@ -49,6 +50,25 @@ class PointCloud:
         return len(self.points)
 
 
+# The origin, for the norms of vectors: distances(v, ORIGIN) is |v|.
+ORIGIN = np.zeros(3)
+ORIGIN.setflags(write=False)
+
+
+def distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Euclidean distances over the last axis of broadcast (..., 3) arrays.
+
+    Summed column by column as sqrt((dx*dx + dy*dy) + dz*dz) with
+    d = a[..., k] - b[..., k]: the sum ``np.linalg.norm(a - b, axis=-1)``
+    takes, in the same order, so every result is bitwise the same, but
+    without NumPy's slow per-row reduction of a length-3 axis.
+    """
+    dx = a[..., 0] - b[..., 0]
+    dy = a[..., 1] - b[..., 1]
+    dz = a[..., 2] - b[..., 2]
+    return np.sqrt((dx * dx + dy * dy) + dz * dz)
+
+
 def normalize_model(cloud: PointCloud) -> PointCloud:
     """Center the cloud at the origin and scale the max point norm to 1.
 
@@ -57,17 +77,16 @@ def normalize_model(cloud: PointCloud) -> PointCloud:
     """
     pts = cloud.points
     centroid = pts.mean(axis=0)
-    centered = pts - centroid
-    radius = float(np.linalg.norm(centered, axis=1).max())
+    radius = float(distances(pts, centroid).max())
     if radius <= 0.0:
         raise DegenerateCloudError("all points identical; cannot normalize")
-    return PointCloud(centered / radius)
+    return PointCloud((pts - centroid) / radius)
 
 
 def k_nearest(points: np.ndarray, query, k: int) -> tuple[np.ndarray, np.ndarray]:
     """Indices and distances of the k points of an (N, 3) array nearest
     ``query``: exact, sorted by ascending distance, ties broken by ascending
-    index.  Distances are ``np.linalg.norm(points - query, axis=1)``.
+    index.  Distances are ``distances(points, query)``.
 
     Every point within the k-th smallest distance (found by a partition) is
     sorted by (distance, index).  Returns (indices, distances).
@@ -75,8 +94,7 @@ def k_nearest(points: np.ndarray, query, k: int) -> tuple[np.ndarray, np.ndarray
     n = len(points)
     if not 1 <= k <= n:
         raise ValueError(f"k={k} out of range for cloud of size {n}")
-    q = np.asarray(query, dtype=np.float64).reshape(3)
-    d = np.linalg.norm(points - q, axis=1)
+    d = distances(points, np.asarray(query, dtype=np.float64).reshape(3))
     cand = np.flatnonzero(d <= np.partition(d, k - 1)[k - 1])
     idx = cand[np.lexsort((cand, d[cand]))[:k]]
     return idx, d[idx]
@@ -98,12 +116,14 @@ _FPS_WINDOW_ABS = 2.0**-500
 def farthest_point_sampling(cloud: PointCloud, k: int, start_index: int = 0) -> np.ndarray:
     """Greedy max-min subsampling.
 
-    output[0] = start_index; each subsequent pick maximizes its minimum
-    distance to all previously chosen points, ties broken by lowest index.
+    output[0] = start_index; each subsequent pick is the unpicked point that
+    maximizes its minimum distance to all previously chosen points, ties
+    broken by lowest index.  So the picks are distinct: once every unpicked
+    point coincides with a pick, the rest follow in ascending index order.
 
     Distances are computed from separate x, y, z rows as
     sqrt((x - xj)**2 + (y - yj)**2 + (z - zj)**2), summed in that order, so
-    each is bitwise equal to ``np.linalg.norm(pts - pts[j], axis=1)``.  The
+    each is bitwise equal to ``distances(pts, pts[j])``.  The
     selected indices therefore do not depend on the points' memory layout or
     on the BLAS kernel.
 
@@ -130,6 +150,7 @@ def farthest_point_sampling(cloud: PointCloud, k: int, start_index: int = 0) -> 
     coords = np.ascontiguousarray(pts[order].T)  # sorted x, y, z rows
     xs = coords[0]
     min_dist = np.full(n, np.inf)  # in original index order
+    min_dist[start_index] = -np.inf  # a pick never wins the argmax again
     selected = np.empty(k, dtype=np.intp)
     selected[0] = j = start_index
     m = np.inf
@@ -147,6 +168,7 @@ def farthest_point_sampling(cloud: PointCloud, k: int, start_index: int = 0) -> 
         min_dist[window] = np.minimum(min_dist[window], d)
         selected[i] = j = int(min_dist.argmax())
         m = float(min_dist[j])
+        min_dist[j] = -np.inf
     return selected
 
 

@@ -27,7 +27,7 @@ from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
 from .assignment import hungarian_assign
-from .geometry import k_nearest
+from .geometry import ORIGIN, distances, k_nearest
 from .synthetic import DentalModel
 
 
@@ -176,7 +176,7 @@ def segment_patch(patch: Patch, params: SegParams, table: NeighbourTable) -> Pat
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
     graph = csr_matrix((dist[keep], nn[keep], indptr), shape=(n, n))
 
-    seed = int(np.argmin(np.linalg.norm(pts, axis=1)))
+    seed = int(np.argmin(distances(pts, ORIGIN)))
     g = dijkstra(graph, directed=False, indices=seed, limit=params.max_geodesic_radius)
 
     reachable = np.isfinite(g)
@@ -194,7 +194,7 @@ def segment_patch(patch: Patch, params: SegParams, table: NeighbourTable) -> Pat
     keep = probs > 0
     return PatchMask(
         point_indices=patch.point_indices[keep],
-        distances=np.linalg.norm(pts[keep], axis=1),
+        distances=distances(pts[keep], ORIGIN),
         probabilities=probs[keep],
         degenerate=degenerate,
     )

@@ -15,7 +15,7 @@ import numpy as np
 
 from .arch import ArchPolyline, build_target_arch
 from .bezier import BezierCurve, arc_length_params, bezier_derivative, bezier_eval
-from .geometry import PointCloud, farthest_point_sampling, normalize_model
+from .geometry import ORIGIN, PointCloud, distances, farthest_point_sampling, normalize_model
 
 # Canonical jaw-plane arch: U shape spanning x in [-0.85, 0.85].
 DEFAULT_ARCH_CONTROL = np.array(
@@ -122,7 +122,7 @@ class Votes:
             seed_index=idx,
             position=points[idx] + disp,
             displacement=disp,
-            displacement_norm=np.linalg.norm(disp, axis=1),
+            displacement_norm=distances(disp, ORIGIN),
         )
 
 
@@ -217,7 +217,7 @@ def generate_model(config: ScanConfig, seed: int) -> DentalModel:
     base = bezier_eval(curve, g_t)
     tangent = bezier_derivative(curve, g_t)
     normal = np.stack([-tangent[:, 1], tangent[:, 0], np.zeros(n_gingiva)], axis=1)
-    normal /= np.linalg.norm(normal, axis=1, keepdims=True)
+    normal /= distances(normal, ORIGIN)[:, None]
     g_pts = base + normal * g_lateral[:, None]
     g_pts[:, 2] = g_z
     all_points.append(g_pts)
@@ -277,6 +277,6 @@ def ground_truth_offsets(model: DentalModel, seed_indices) -> np.ndarray:
         raise ValueError("model has no teeth")
     idx = np.asarray(seed_indices, dtype=np.intp)
     pts = model.cloud.points[idx]
-    d = np.linalg.norm(pts[:, None, :] - cen[None, :, :], axis=2)
+    d = distances(pts[:, None, :], cen[None, :, :])
     nearest = np.argmin(d, axis=1)
     return cen[nearest] - pts

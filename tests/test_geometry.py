@@ -99,17 +99,28 @@ class TestFPS:
         with pytest.raises(ValueError):
             farthest_point_sampling(cloud(5), 6)
 
+    def test_distinct_once_every_point_coincides_with_a_pick(self):
+        """3 positions x 5 copies: after one pick per position every
+        unpicked point is at distance 0, and the rest follow in index order."""
+        pts = np.repeat(np.eye(3), 5, axis=0)
+        sel = farthest_point_sampling(PointCloud(pts), 8)
+        assert sel.tolist() == [0, 5, 10, 1, 2, 3, 4, 6]
+        assert sel.tolist() == greedy_fps_reference(PointCloud(pts), 8).tolist()
+
 
 def greedy_fps_reference(cloud, k, start_index=0):
     """Row-wise greedy FPS over the (N, 3) points: the oracle the
-    column-wise ``farthest_point_sampling`` must match index for index."""
+    column-wise ``farthest_point_sampling`` must match index for index.
+    A picked point's min_dist is -inf, so it is never picked again."""
     pts = cloud.points
     selected = np.empty(k, dtype=np.intp)
     selected[0] = start_index
     min_dist = np.linalg.norm(pts - pts[start_index], axis=1)
+    min_dist[start_index] = -np.inf
     for i in range(1, k):
         j = int(np.argmax(min_dist))  # argmax returns the first (lowest) index on ties
         selected[i] = j
+        min_dist[j] = -np.inf
         np.minimum(min_dist, np.linalg.norm(pts - pts[j], axis=1), out=min_dist)
     return selected
 
