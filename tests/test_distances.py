@@ -109,11 +109,9 @@ def test_pipeline_matches_norm_oracle(benchmark_config, monkeypatch):
     """Every stage gives the same per-model numbers when each module's
     `distances` binding is replaced by the broadcast `np.linalg.norm`."""
     kernel = _pinned_variants(benchmark_config)
-    bound = [m for m in (arch, bezier, detection, geometry, segmentation, synthetic)
-             if getattr(m, "distances", None) is distances]
-    assert bound == [arch, bezier, detection, geometry, segmentation, synthetic]
-    for module in bound:
-        monkeypatch.setattr(module, "distances", lambda a, b: np.linalg.norm(a - b, axis=-1))
+    for module in (arch, bezier, detection, geometry, segmentation, synthetic):
+        assert module.distances is distances
+        monkeypatch.setattr(module, "distances", norm_reference)
     assert _pinned_variants(benchmark_config) == kernel
 
 
