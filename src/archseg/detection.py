@@ -182,7 +182,7 @@ def nms(proposals: Proposals, radius: float, max_k: int) -> np.ndarray:
     for i in order:
         if len(kept) >= max_k:
             break
-        if all(np.linalg.norm(pos[i] - pos[j]) >= radius for j in kept):
+        if (distances(pos[kept], pos[i]) >= radius).all():
             kept.append(i)
     return np.asarray(kept, dtype=np.intp)
 

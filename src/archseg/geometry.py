@@ -6,6 +6,9 @@ origin and scaled so the farthest point sits at distance 1 (see
 randomness comes in through an explicit seed.  ``distances`` is the one
 Euclidean distance kernel over (..., 3) arrays, and ``k_nearest`` the exact
 k-nearest contract (ties to the lower index) that patch crops follow.
+
+The module imports no scipy, only numpy: every stage imports it, so a
+process that never segments loads no k-d tree code (see `segmentation`).
 """
 
 from __future__ import annotations
@@ -13,7 +16,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 
 class DegenerateCloudError(ValueError):
@@ -176,12 +178,13 @@ def chamfer_distance(p1: PointCloud, p2: PointCloud) -> float:
     """Symmetric sum of squared nearest-neighbor distances.
 
     Sum-of-squared form (no square root, no averaging) so reported values
-    are directly comparable across runs.
+    are directly comparable across runs.  The nearest distances are the row
+    and column minima of one `distances` matrix, so it holds len(p1) *
+    len(p2) floats; the kernel sums in cKDTree's order, so the value is
+    bitwise what two cKDTree queries give.
     """
-    a, b = p1.points, p2.points
-    d_ab, _ = cKDTree(b).query(a)
-    d_ba, _ = cKDTree(a).query(b)
-    return float(np.sum(d_ab**2) + np.sum(d_ba**2))
+    d = distances(p1.points[:, None], p2.points[None])
+    return float(np.sum(d.min(axis=1) ** 2) + np.sum(d.min(axis=0) ** 2))
 
 
 def huber_l1(pred, target, delta: float) -> float:

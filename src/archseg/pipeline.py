@@ -442,6 +442,10 @@ def _reduce(config: ExperimentConfig, tasks, jobs: int) -> MetricsReport:
         raise ValueError(f"jobs must be >= 1, got {jobs}")
     t0 = time.perf_counter()
     if jobs > 1:
+        if config.with_segmentation:
+            # Forked workers inherit the k-d tree module instead of each
+            # importing it at its first segmentation.
+            import scipy.spatial  # noqa: F401
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_one, task) for task in tasks]
             outcomes = [_attempt(fut.result) for fut in futures]

@@ -2,8 +2,9 @@
 
 A 2048-point patch (the centroid's `geometry.k_nearest` points) is cropped
 around each detected centroid and scored by a geodesic region-growing
-stand-in: a k-NN graph with long (gap-crossing) and zero-length edges
-pruned, geodesic distances from the seed nearest the patch center, and an
+stand-in: a k-NN graph with long (gap-crossing) edges pruned (zero-length
+edges between duplicate points are kept, so duplicates are joined),
+geodesic distances from the seed nearest the patch center, and an
 exponentially decaying probability in geodesic distance.  A patch's mask
 keeps only its points with probability > 0, the only ones that can win
 when the masks are fused into a full-model instance labeling by per-point
@@ -14,6 +15,10 @@ included; this is a second contract beside `k_nearest`'s.  It is read from
 one per-model `NeighbourTable` where the table settles it, and from the
 patch tree elsewhere; either way each patch point gets exactly the
 neighbours and edge lengths the patch tree alone would give it.
+
+`neighbour_table` and `segment_patch` are the only k-d tree builders, and
+they import scipy.spatial when first called, so a process that never
+segments (a detection-only run, `generate`, `eval`, `report`) never loads it.
 """
 
 from __future__ import annotations
@@ -22,7 +27,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import dijkstra
 
@@ -65,6 +69,8 @@ class NeighbourTable:
 
 def neighbour_table(points) -> NeighbourTable:
     """The NeighbourTable of an (N, 3) cloud."""
+    from scipy.spatial import cKDTree
+
     k = min(TABLE_K, len(points))
     dist, idx = cKDTree(points).query(points, k=k)
     idx = idx.reshape(len(points), k).astype(np.int32)
@@ -146,8 +152,9 @@ def segment_patch(patch: Patch, params: SegParams, table: NeighbourTable) -> Pat
     """Geodesic region growing from the point nearest the patch center.
 
     k-NN graph edges longer than twice the median edge length are removed,
-    which cuts the graph across the tooth/gingiva and tooth/tooth gaps, and
-    so are zero-length edges between duplicate points; the graph is
+    which cuts the graph across the tooth/gingiva and tooth/tooth gaps;
+    zero-length edges between duplicate points are kept, so a duplicate is
+    reached at the same geodesic distance as its twin; the graph is
     undirected, so a pair is joined if either is among the other's k-NN;
     probability decays exponentially in geodesic distance beyond the local
     seed neighborhood radius, and is 0 outside max_geodesic_radius.
@@ -157,6 +164,8 @@ def segment_patch(patch: Patch, params: SegParams, table: NeighbourTable) -> Pat
     (`_table_neighbours`) are read from it; every other row queries the
     patch tree.  A degenerate mask is the seed alone at probability 1.
     """
+    from scipy.spatial import cKDTree
+
     pts = patch.relative_coords
     n = len(pts)
     k = min(params.knn_graph_k, n - 1)
@@ -169,10 +178,10 @@ def segment_patch(patch: Patch, params: SegParams, table: NeighbourTable) -> Pat
     dist[rest], nn[rest] = d[:, 1:], j[:, 1:]  # drop the self-match
     cutoff = 2.0 * np.median(dist)
     # Row i of the CSR graph holds point i's kept k-NN edges, one per pair,
-    # which dijkstra(directed=False) reads both ways; zero-length edges are
-    # left out, so duplicate points stay unjoined.  A row whose edges are
-    # all cut is empty.
-    keep = (dist > 0) & (dist <= cutoff)
+    # which dijkstra(directed=False) reads both ways; a zero-length edge is
+    # stored as an explicit 0, which dijkstra follows, so duplicate points
+    # are joined.  A row whose edges are all cut is empty.
+    keep = dist <= cutoff
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
     graph = csr_matrix((dist[keep], nn[keep], indptr), shape=(n, n))
 

@@ -34,6 +34,7 @@ from archseg.synthetic import (
     Votes,
     generate_model,
 )
+from test_geometry import chamfer_kdtree_reference
 
 
 def report(name, elapsed, detail):
@@ -101,6 +102,7 @@ def test_criterion_3_geometry_oracles():
         brute = float(d_ab.min(axis=1).sum() + d_ab.min(axis=0).sum())
         got = chamfer_distance(cloud, other)
         assert got == pytest.approx(brute, rel=1e-12)
+        assert got.hex() == chamfer_kdtree_reference(cloud, other).hex()
 
         q = rng.normal(size=3)
         k = int(rng.integers(1, min(n, 20) + 1))
@@ -122,7 +124,8 @@ def test_criterion_3_geometry_oracles():
     elapsed = time.perf_counter() - t0
     assert elapsed < 30.0
     report("criterion 3 (geometry oracles)", elapsed,
-           "100/100 instances match brute-force chamfer, k-NN, FPS")
+           "100/100 instances match brute-force chamfer (cKDTree chamfer bitwise), "
+           "k-NN, FPS")
 
 
 def test_criterion_4_aps_beats_fps(full_report, fps_report):

@@ -115,10 +115,9 @@ def test_pipeline_matches_norm_oracle(benchmark_config, monkeypatch):
     assert _pinned_variants(benchmark_config) == kernel
 
 
-# The norms `distances` does not take: two 1-D norms (BLAS `dot`, another
-# sum order) and the k-NN oracle.
+# The norms `distances` does not take: a 1-D norm (BLAS `dot`, another sum
+# order) and the k-NN oracle.
 NORM_SITES = {
-    ("detection.py", "nms"),
     ("synthetic.py", "_rotation_matrix"),
     ("geometry.py", "brute_force_k_nearest"),
 }

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
+from scipy.spatial import cKDTree
 
 from archseg import io as aio
+from archseg.detection import nms
 from archseg.geometry import (
     DegenerateCloudError,
     PointCloud,
@@ -15,7 +17,7 @@ from archseg.geometry import (
     k_nearest,
     normalize_model,
 )
-from archseg.pipeline import model_seeds
+from archseg.pipeline import model_seeds, stage_keys
 from archseg.synthetic import generate_model
 
 
@@ -237,12 +239,38 @@ def brute_chamfer(a, b):
     return float(d_ab.min(axis=1).sum() + d_ab.min(axis=0).sum())
 
 
+def chamfer_kdtree_reference(p1, p2):
+    """The two-cKDTree `chamfer_distance` the distance matrix replaced:
+    `chamfer_distance` must equal it bit for bit."""
+    a, b = p1.points, p2.points
+    d_ab, _ = cKDTree(b).query(a)
+    d_ba, _ = cKDTree(a).query(b)
+    return float(np.sum(d_ab**2) + np.sum(d_ba**2))
+
+
 class TestChamfer:
     @pytest.mark.parametrize("seed", range(5))
     def test_matches_brute_force(self, seed):
         a, b = cloud(60, seed), cloud(45, seed + 50)
         got = chamfer_distance(a, b)
         assert got == pytest.approx(brute_chamfer(a.points, b.points), rel=1e-12)
+        assert got.hex() == chamfer_kdtree_reference(a, b).hex()
+
+    def test_pinned_detections_match_kdtree_reference(
+        self, benchmark_config, full_report, pinned_stages
+    ):
+        """The retained centroids of pinned models 0-9 against their teeth:
+        the pairs every pinned report's `chamfer` comes from."""
+        keys = stage_keys(benchmark_config)
+        det = benchmark_config.detection
+        for i in range(10):
+            proposals = pinned_stages[i][keys["proposals"]]
+            retained = nms(proposals, det.nms_radius, det.max_centroids)
+            pred = PointCloud(proposals.position[retained])
+            gt = PointCloud(pinned_stages[i][keys["model"]].centroids)
+            got = chamfer_distance(pred, gt)
+            assert got.hex() == chamfer_kdtree_reference(pred, gt).hex()
+            assert got.hex() == full_report.per_model[i]["chamfer"].hex()
 
     def test_identity_zero(self):
         a = cloud(30)

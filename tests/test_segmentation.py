@@ -331,7 +331,9 @@ def crop_patch_reference(model, center, params):
 def segment_patch_reference(patch, params):
     """The per-patch-tree `segment_patch` the table replaced (its warning
     dropped), returning (probabilities, degenerate) with one probability per
-    patch point: a mask must be its probability > 0 part, bit for bit."""
+    patch point: a mask must be its probability > 0 part, bit for bit.
+    Zero-length edges stay in the graph as explicit zeros, which dijkstra
+    follows, so duplicate points are joined."""
     pts = patch.relative_coords
     n = len(pts)
     k = min(params.knn_graph_k, n - 1)
@@ -341,8 +343,9 @@ def segment_patch_reference(patch, params):
     cols = nn.ravel()
     lengths = dist.ravel()
     keep = lengths <= 2.0 * np.median(lengths)
+    # directed k-NN edges, read both ways (`maximum(graph, graph.T)` would
+    # drop the explicit zeros)
     graph = csr_matrix((lengths[keep], (rows[keep], cols[keep])), shape=(n, n))
-    graph = graph.maximum(graph.T)
     seed = int(np.argmin(np.linalg.norm(pts, axis=1)))
     g = dijkstra(graph, directed=False, indices=seed, limit=params.max_geodesic_radius)
     reachable = np.isfinite(g)
@@ -432,17 +435,19 @@ class TestPatchEquivalence:
 
     def test_seed_joined_only_to_its_duplicate(self):
         """The seed's one neighbour within the cutoff is its own duplicate,
-        at distance 0: that edge joins nothing, so the mask is degenerate."""
+        at distance 0: the zero-length edge joins the two, so the mask is
+        not degenerate and holds both at probability 1."""
         rng = np.random.default_rng(5)
         cluster = 0.5 + 0.01 * rng.normal(size=(60, 3))
         pts = np.concatenate([np.zeros((2, 3)), cluster])
         model = types.SimpleNamespace(cloud=PointCloud(pts))
         params = SegParams(patch_size=len(pts))
         assert_patches_match_reference(model, [np.zeros(3)], params)
-        _, degenerate = segment_patch_reference(
-            crop_patch_reference(model, np.zeros(3), params), params
-        )
-        assert degenerate
+        patch = crop_patch(model, np.zeros(3), params)
+        mask = segment_patch(patch, params, neighbour_table(pts))
+        assert not mask.degenerate
+        assert sorted(mask.point_indices.tolist()) == [0, 1]
+        assert mask.probabilities.tolist() == [1.0, 1.0]
 
     def test_cut_off_row_and_duplicate_pair(self):
         """A point whose k-NN edges are all cut leaves its graph row empty,
