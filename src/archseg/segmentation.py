@@ -175,7 +175,10 @@ def segment_patch(patch: Patch, params: SegParams, table: NeighbourTable) -> Pat
     nn[settled], dist[settled] = table_nn, table_dist
     rest = np.flatnonzero(~settled)
     d, j = cKDTree(pts).query(pts[rest], k=k + 1)
-    dist[rest], nn[rest] = d[:, 1:], j[:, 1:]  # drop the self-match
+    # Drop the self-match.  Duplicate points get the same query result, so
+    # when a twin comes first its row keeps a 0 self-loop and the twin's row
+    # the 0 edge between them.
+    dist[rest], nn[rest] = d[:, 1:], j[:, 1:]
     cutoff = 2.0 * np.median(dist)
     # Row i of the CSR graph holds point i's kept k-NN edges, one per pair,
     # which dijkstra(directed=False) reads both ways; a zero-length edge is
