@@ -443,8 +443,9 @@ def _reduce(config: ExperimentConfig, tasks, jobs: int) -> MetricsReport:
     t0 = time.perf_counter()
     if jobs > 1:
         if config.with_segmentation:
-            # Forked workers inherit the k-d tree module instead of each
-            # importing it at its first segmentation.
+            # Forked workers inherit the k-d tree and graph search modules
+            # instead of each importing them at its first segmentation.
+            import scipy.sparse.csgraph  # noqa: F401
             import scipy.spatial  # noqa: F401
         with ProcessPoolExecutor(max_workers=jobs) as pool:
             futures = [pool.submit(_run_one, task) for task in tasks]

@@ -16,9 +16,12 @@ one per-model `NeighbourTable` where the table settles it, and from the
 patch tree elsewhere; either way each patch point gets exactly the
 neighbours and edge lengths the patch tree alone would give it.
 
-`neighbour_table` and `segment_patch` are the only k-d tree builders, and
-they import scipy.spatial when first called, so a process that never
-segments (a detection-only run, `generate`, `eval`, `report`) never loads it.
+The module imports no scipy at load time.  `neighbour_table` and
+`segment_patch` are the only k-d tree builders, and `segment_patch` the only
+graph search; they import `scipy.spatial` and `scipy.sparse.csgraph` when
+first called, so a process that never segments (a detection-only run,
+`generate`, `eval`, `report`) loads no scipy at all.  Instance matching in
+`iou_dice` uses `assignment.hungarian_assign`, which is numpy-only.
 """
 
 from __future__ import annotations
@@ -27,8 +30,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import dijkstra
 
 from .assignment import hungarian_assign
 from .geometry import ORIGIN, distances, k_nearest
@@ -164,6 +165,8 @@ def segment_patch(patch: Patch, params: SegParams, table: NeighbourTable) -> Pat
     (`_table_neighbours`) are read from it; every other row queries the
     patch tree.  A degenerate mask is the seed alone at probability 1.
     """
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import dijkstra
     from scipy.spatial import cKDTree
 
     pts = patch.relative_coords

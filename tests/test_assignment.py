@@ -1,8 +1,24 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
-from archseg.assignment import brute_force_assign, hungarian_assign
+from archseg.assignment import _candidate_columns, brute_force_assign, hungarian_assign
+from archseg.detection import aps_cost_matrix
+from archseg.pipeline import stage_keys
+
+
+def scipy_assign_reference(cost):
+    """The scipy call `hungarian_assign` made before it solved the problem
+    itself: the sparse Jonker-Volgenant solver (LAPJVsp) on the costs
+    shifted to >= 1, since it takes only non-zero entries as edges."""
+    from scipy.sparse import csr_array
+    from scipy.sparse.csgraph import min_weight_full_bipartite_matching
+
+    c = np.asarray(cost, dtype=np.float64)
+    _, cols = min_weight_full_bipartite_matching(csr_array(c - c.min() + 1.0))
+    assignment = cols.astype(np.intp)
+    return assignment, float(c[np.arange(len(c)), assignment].sum())
 
 
 class TestHungarian:
@@ -66,3 +82,111 @@ class TestHungarian:
         assert len(np.unique(assignment)) == 64
         # lower bound: sum of per-row minima
         assert total >= cost.min(axis=1).sum() - 1e-12
+
+    def test_no_rows_rejected(self):
+        for shape in [(0, 0), (0, 3)]:
+            with pytest.raises(ValueError, match="no rows"):
+                hungarian_assign(np.zeros(shape))
+
+    def test_not_2d_rejected(self):
+        with pytest.raises(ValueError, match="2-D"):
+            hungarian_assign(np.zeros(4))
+
+
+def check_optimal(cost):
+    """hungarian_assign on `cost` gives distinct columns and the brute-force
+    optimum, and its total is the sum of the entries it picked."""
+    assignment, total = hungarian_assign(cost)
+    n_rows = cost.shape[0]
+    assert len(np.unique(assignment)) == n_rows
+    assert total == float(cost[np.arange(n_rows), assignment].sum())
+    _, expected = brute_force_assign(cost)
+    assert total == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+@st.composite
+def shapes(draw, max_rows=5, max_cols=7):
+    rows = draw(st.integers(1, max_rows))
+    return rows, draw(st.integers(rows, max(rows, max_cols)))
+
+
+# Few distinct values, so ties everywhere; negative ones included.
+TIED = st.integers(-3, 3).map(float)
+ROUNDED = st.floats(-2.0, 2.0).map(lambda x: round(x, 1))
+
+
+class TestTies:
+    """The solver against the brute-force oracle on tie-heavy costs."""
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_integer_and_rounded_costs(self, data):
+        elements = data.draw(st.sampled_from([TIED, ROUNDED]))
+        cost = data.draw(hnp.arrays(np.float64, data.draw(shapes()), elements=elements))
+        check_optimal(cost)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_duplicate_rows(self, data):
+        """Like APS, whose slot rows i and i + 32 are the same arch point."""
+        n_rows, n_cols = data.draw(shapes())
+        base = data.draw(hnp.arrays(np.float64, (max(1, n_rows // 2), n_cols), elements=TIED))
+        check_optimal(base[np.arange(n_rows) % len(base)])
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_duplicate_columns(self, data):
+        n_rows, n_cols = data.draw(shapes())
+        base = data.draw(hnp.arrays(np.float64, (n_rows, n_rows), elements=ROUNDED))
+        picks = data.draw(hnp.arrays(np.intp, n_cols, elements=st.integers(0, n_rows - 1)))
+        check_optimal(base[:, picks])
+
+    @given(hnp.arrays(np.float64, st.integers(1, 9).map(lambda c: (1, c)), elements=TIED))
+    @settings(max_examples=50, deadline=None)
+    def test_one_row(self, cost):
+        check_optimal(cost)
+
+    @given(st.integers(1, 6).flatmap(
+        lambda n: hnp.arrays(np.float64, (n, n), elements=st.one_of(TIED, ROUNDED))))
+    @settings(max_examples=100, deadline=None)
+    def test_square(self, cost):
+        check_optimal(cost)
+
+    @given(st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_many_columns_tied_at_the_reduction_threshold(self, data):
+        """C >> R with values from {0, 1, 2}: a row's R-th cheapest column
+        is tied with others, and the column reduction keeps every one of
+        them."""
+        n_rows = data.draw(st.integers(1, 3))
+        n_cols = data.draw(st.integers(3 * n_rows, 12))
+        cost = data.draw(hnp.arrays(np.float64, (n_rows, n_cols), elements=st.sampled_from([0.0, 1.0, 2.0])))
+        kth = np.sort(cost, axis=1)[:, n_rows - 1, None]
+        tied = np.flatnonzero((cost <= kth).any(axis=0))
+        assert np.array_equal(_candidate_columns(cost), tied)
+        check_optimal(cost)
+
+
+class TestScipyReference:
+    """Equal totals to the scipy solver `hungarian_assign` replaced."""
+
+    @pytest.mark.parametrize("shape", [(1, 1), (1, 2048), (7, 7), (17, 40), (64, 64),
+                                       (64, 1036), (64, 2048)])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_random_instances(self, shape, seed):
+        cost = np.random.default_rng(seed).random(shape) * 10.0 - 3.0
+        _, total = hungarian_assign(cost)
+        _, expected = scipy_assign_reference(cost)
+        assert total == pytest.approx(expected, rel=1e-12)
+
+    def test_pinned_aps_costs(self, benchmark_config, full_report, pinned_stages):
+        """APS's cost matrices of pinned models 0-9: the same total and the
+        same selected vote set (the sorted columns) as the reference."""
+        keys = stage_keys(benchmark_config)
+        for i in range(10):
+            votes, arch = pinned_stages[i][keys["votes"]], pinned_stages[i][keys["refine"]]
+            cost = aps_cost_matrix(votes, arch, benchmark_config.sampling)
+            assignment, total = hungarian_assign(cost)
+            expected_assignment, expected = scipy_assign_reference(cost)
+            assert total == pytest.approx(expected, rel=1e-12)
+            assert np.array_equal(np.sort(assignment), np.sort(expected_assignment))
