@@ -30,7 +30,19 @@ def _bernstein(t: np.ndarray) -> np.ndarray:
     """Cubic Bernstein basis, shape (len(t), 4)."""
     t = np.asarray(t, dtype=np.float64)
     s = 1.0 - t
-    return np.stack([s**3, 3 * s**2 * t, 3 * s * t**2, t**3], axis=-1)
+    return _basis(s**3, 3 * s**2 * t, 3 * s * t**2, t**3)
+
+
+def _basis(b0, b1, b2, b3) -> np.ndarray:
+    """The four basis columns as one C-ordered (len, 4) array: what
+    np.stack builds, without its per-call overhead, which outweighs the
+    arithmetic at the sizes a fit uses."""
+    basis = np.empty((len(b0), 4))
+    basis[:, 0] = b0
+    basis[:, 1] = b1
+    basis[:, 2] = b2
+    basis[:, 3] = b3
+    return basis
 
 
 def bezier_eval(curve: BezierCurve, t):
@@ -100,7 +112,7 @@ def _basis_and_derivative(t: np.ndarray, diffs: np.ndarray):
     s = 1.0 - t
     s2 = 3 * s**2
     t2 = t**2
-    basis = np.stack([s**3, s2 * t, 3 * s * t2, t**3], axis=-1)
+    basis = _basis(s**3, s2 * t, 3 * s * t2, t**3)
     return basis, _derivative(t, s, s2, t2, diffs), s
 
 
@@ -114,7 +126,12 @@ def _project_params(curve: BezierCurve, targets: np.ndarray, t0: np.ndarray) -> 
     escape local minima of the foot-point equation.  A step is a function of
     (t, distance) alone, so once a step returns the state of one or two
     steps before, the later steps repeat that cycle: the search stops there
-    and returns the state the last step would end on."""
+    and returns the state the last step would end on.
+
+    The basis and derivative are elementwise in t, so each step evaluates
+    them once, at its proposed parameters, and the next step takes the rows
+    of the accepted ones: bitwise what evaluating them at the kept t gives.
+    The curve points stay one ``basis @ p`` product per step."""
     p = curve.control
     diffs = np.diff(p, axis=0)
     second = (p[2] - 2 * p[1] + p[0], p[3] - 2 * p[2] + p[1])
@@ -127,15 +144,16 @@ def _project_params(curve: BezierCurve, targets: np.ndarray, t0: np.ndarray) -> 
     t = np.where(take, _GRID[gi], t)
     best_d = np.where(take, g_best, best_d)
     before = None  # the state one step before (t, best_d), as bytes
+    basis, d1, s = _basis_and_derivative(t, diffs)
     for k in range(NEWTON_STEPS):
-        basis, d1, s = _basis_and_derivative(t, diffs)
         d2 = 6 * s[:, None] * second[0] + 6 * t[:, None] * second[1]
         diff = basis @ p - targets
         f = np.einsum("ij,ij->i", diff, d1)
         fp = np.einsum("ij,ij->i", d1, d1) + np.einsum("ij,ij->i", diff, d2)
         step = np.where(np.abs(fp) > 1e-300, f / np.where(fp == 0, 1.0, fp), 0.0)
         t_new = np.clip(t - step, 0.0, 1.0)
-        d_new = distances(_bernstein(t_new) @ p, targets)
+        basis_new, d1_new, s_new = _basis_and_derivative(t_new, diffs)
+        d_new = distances(basis_new @ p, targets)
         accept = d_new <= best_d
         t_next, d_next = np.where(accept, t_new, t), np.where(accept, d_new, best_d)
         state, after = (t.tobytes(), best_d.tobytes()), (t_next.tobytes(), d_next.tobytes())
@@ -147,6 +165,9 @@ def _project_params(curve: BezierCurve, targets: np.ndarray, t0: np.ndarray) -> 
             return t_next if (NEWTON_STEPS - k - 1) % 2 == 0 else t
         before = state
         t, best_d = t_next, d_next
+        basis = np.where(accept[:, None], basis_new, basis)
+        d1 = np.where(accept[:, None], d1_new, d1)
+        s = np.where(accept, s_new, s)
     return t
 
 

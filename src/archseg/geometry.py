@@ -113,6 +113,9 @@ def brute_force_k_nearest(points: np.ndarray, query, k: int):
 # Absolute slack of the FPS window: it covers the underflow of a squared
 # coordinate difference when min_dist is tiny (near-duplicate points).
 _FPS_WINDOW_ABS = 2.0**-500
+# Candidates per batch of FPS picks, and the picks taken one at a time
+# before the first batch (see `farthest_point_sampling`).
+_FPS_BATCH = 64
 
 
 def farthest_point_sampling(cloud: PointCloud, k: int, start_index: int = 0) -> np.ndarray:
@@ -130,17 +133,32 @@ def farthest_point_sampling(cloud: PointCloud, k: int, start_index: int = 0) -> 
     on the BLAS kernel.
 
     Window contract: the points are sorted by (x, index) once.  When pick j
-    is added, only the contiguous slice with |x - x_j| <= M * (1 + 1e-9) +
-    2**-500 is updated, where M is the current max of min_dist (the value
-    that chose j).  A point outside it is at least M from j: a computed
-    distance is not below |x - x_j| by more than that slack, whose absolute
-    part covers squared differences that underflow when points nearly
-    coincide.  So its min_dist cannot fall.  The bounds x_j -/+ width are
-    rounded, but rounding is monotone, so no sorted x inside the exact
-    window falls outside the searched slice.  Every min_dist is therefore
-    bitwise what a full pass computes, and the picks are the same.
-    min_dist is kept in original index order, so its argmax is the lowest
-    original index at the max.
+    is applied, only the contiguous slice with |x - x_j| <= M * (1 + 1e-9) +
+    2**-500 is updated, where M is the max of min_dist that chose j.  A
+    point outside it is at least M from j: a computed distance is not below
+    |x - x_j| by more than that slack, whose absolute part covers squared
+    differences that underflow when points nearly coincide.  Its min_dist,
+    at most M once the picks before j are applied, cannot fall.  The bounds
+    x_j -/+ width are rounded, but rounding is monotone, so no sorted x
+    inside the exact window falls outside the searched slice.
+
+    Batch contract: the first B = 64 picks are taken one at a time, each by
+    a full argmax; early batches would yield few picks, since their
+    candidates crowd the one region farthest from the few picks so far.
+    Then the picks are taken in batches.  A batch starts from every point's
+    exact min_dist and keeps the B points with the largest as candidates, in
+    index order; the largest min_dist of the others is the bound.  Each
+    candidate's value stays exact: after every pick it is lowered by its
+    distance to the pick, from one B x B matrix summed as the windows are.
+    min_dist only falls, so no other point's value exceeds the bound: while
+    the best candidate is strictly above it, that candidate is the argmax,
+    and the lowest index at its value since no other point reaches it.
+    When it only ties the bound, a lower-index point outside the candidates
+    may tie it, so one pick is taken by a full argmax instead.  A batch's
+    picks are applied together, every window as it would be one pick at a
+    time: a minimum does not depend on the order its distances are taken
+    in, so min_dist is bitwise what a full pass after every pick computes,
+    and the picks are the same.
     """
     pts = cloud.points
     n = len(pts)
@@ -156,22 +174,99 @@ def farthest_point_sampling(cloud: PointCloud, k: int, start_index: int = 0) -> 
     selected = np.empty(k, dtype=np.intp)
     selected[0] = j = start_index
     m = np.inf
-    for i in range(1, k):
+    for i in range(1, min(k, _FPS_BATCH)):
         pj = pts[j]
         width = m * (1 + 1e-9) + _FPS_WINDOW_ABS
         lo = int(xs.searchsorted(pj[0] - width, side="left"))
         hi = int(xs.searchsorted(pj[0] + width, side="right"))
-        t = coords[:, lo:hi] - pj[:, None]
-        t *= t
-        d = t[0] + t[1]
-        d += t[2]
-        np.sqrt(d, out=d)
         window = order[lo:hi]
+        d = _root_sum_squares(coords[:, lo:hi] - pj[:, None])
         min_dist[window] = np.minimum(min_dist[window], d)
         selected[i] = j = int(min_dist.argmax())
         m = float(min_dist[j])
         min_dist[j] = -np.inf
+
+    min_dist = min_dist[order]  # in sorted order from here on
+    picks, values = [j], [m]  # not yet applied, and the M that chose each
+    scratch = np.empty((3, 0))
+    i = _FPS_BATCH
+    while i < k:  # so n > B
+        scratch = _fps_apply_windows(min_dist, coords, pts[picks], values, scratch)
+        cpos = np.argpartition(min_dist, n - _FPS_BATCH)[n - _FPS_BATCH:]  # sorted positions
+        cand = order[cpos]
+        by_index = np.argsort(cand)
+        cand, cpos = cand[by_index], cpos[by_index]
+        value = min_dist[cpos]
+        min_dist[cpos] = -np.inf
+        bound = float(min_dist.max())
+        b = int(value.argmax())
+        v = float(value[b])
+        if not v > bound:
+            min_dist[cpos] = value
+            m = min_dist.max()
+            at_max = np.flatnonzero(min_dist == m)
+            q = at_max[order[at_max].argmin()]
+            selected[i] = j = int(order[q])
+            i += 1
+            picks, values = [j], [m]
+            min_dist[q] = -np.inf
+            continue
+        c = coords.take(cpos, axis=1)  # C order, unlike coords[:, cpos]: faster below
+        pair = _root_sum_squares(c[:, :, None] - c[:, None])
+        picks, values = [], []
+        while True:
+            selected[i] = j = int(cand[b])
+            i += 1
+            picks.append(j)
+            values.append(v)
+            if i == k:
+                break
+            np.minimum(value, pair[b], out=value)
+            value[b] = -np.inf
+            b = int(value.argmax())
+            v = float(value[b])
+            if not v > bound:
+                break
+        min_dist[cpos] = value
     return selected
+
+
+def _fps_apply_windows(min_dist, coords, picked, values, scratch):
+    """Lower the sorted-order ``min_dist`` by each picked point's distance
+    inside its window (see `farthest_point_sampling`), where ``values``
+    holds the M that chose each of the ``picked`` (m, 3) points.  The
+    differences of all windows go into one ``scratch`` (3, total) block, so
+    squares, sums and roots take one call each; returns the block for reuse.
+
+    The windows are folded in slice by slice with ``np.minimum``, not with
+    ``np.minimum.at``: an array that arrives by pickle, as a model does in a
+    pool worker, carries a float64 descriptor that is not numpy's own
+    instance, and ``ufunc.at`` then leaves its fast path (about 25x slower
+    for 15k elements with numpy 2.4).
+    """
+    width = np.asarray(values) * (1 + 1e-9) + _FPS_WINDOW_ABS
+    xs = coords[0]
+    lo = xs.searchsorted(picked[:, 0] - width, side="left")
+    hi = xs.searchsorted(picked[:, 0] + width, side="right")
+    ends = np.cumsum(hi - lo).tolist()
+    if ends[-1] > scratch.shape[1]:
+        scratch = np.empty((3, 2 * ends[-1]))
+    spans = list(zip(lo.tolist(), hi.tolist(), [0] + ends[:-1], ends))
+    for pj, (l, h, a, e) in zip(picked[:, :, None], spans):
+        np.subtract(coords[:, l:h], pj, out=scratch[:, a:e])
+    d = _root_sum_squares(scratch[:, : ends[-1]])
+    for l, h, a, e in spans:
+        np.minimum(min_dist[l:h], d[a:e], out=min_dist[l:h])
+    return scratch
+
+
+def _root_sum_squares(t: np.ndarray) -> np.ndarray:
+    """sqrt((t[0]**2 + t[1]**2) + t[2]**2), summed in `distances`' order;
+    squares ``t`` in place."""
+    t *= t
+    d = t[0] + t[1]
+    d += t[2]
+    return np.sqrt(d, out=d)
 
 
 def chamfer_distance(p1: PointCloud, p2: PointCloud) -> float:

@@ -291,12 +291,15 @@ def drawn_targets(seed, n, kind):
 
 
 def newton_steps_run(curve, targets, t0):
-    """`_project_params`'s result and the number of Newton steps it ran."""
+    """`_project_params`'s result and the number of Newton steps it ran.
+    It evaluates `_basis_and_derivative` once at the seeded parameters and
+    then once per step, at the step's proposed parameters: each call after
+    the first is one step."""
     with mock.patch.object(
         bezier, "_basis_and_derivative", wraps=bezier._basis_and_derivative
     ) as spy:
         t = _project_params(curve, targets, t0)
-    return t, spy.call_count
+    return t, spy.call_count - 1
 
 
 class TestFitEquivalence:

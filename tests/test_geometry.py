@@ -1,3 +1,5 @@
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -7,6 +9,7 @@ from scipy.spatial import cKDTree
 from archseg import io as aio
 from archseg.detection import nms
 from archseg.geometry import (
+    _FPS_BATCH,
     DegenerateCloudError,
     PointCloud,
     brute_force_k_nearest,
@@ -232,6 +235,60 @@ class TestFPSWindow:
         got = farthest_point_sampling(cloud, k)
         assert np.array_equal(got, greedy_fps_reference(cloud, k))
         assert np.array_equal(got, farthest_point_sampling(model.cloud, k))
+
+
+def reference_min_dist(pts, k, start_index):
+    """Every point's min_dist after the reference's first k picks, -inf
+    at the picks."""
+    sel = greedy_fps_reference(PointCloud(pts), k, start_index)
+    d = np.linalg.norm(pts[:, None] - pts[sel][None], axis=2).min(axis=1)
+    d[sel] = -np.inf
+    return d
+
+
+class TestFPSBatch:
+    """Batches of picks (after the first `_FPS_BATCH`) pick what one pick
+    at a time picks."""
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_candidates_tie_the_bound(self, seed):
+        """A shuffled 6 x 6 x 6 grid: when the first batch starts, every
+        unpicked point (more than B) is at distance 1 from the picks, so
+        the best candidate only ties the bound and lower-index points at
+        that value may be no candidates."""
+        grid = np.stack(np.meshgrid(*[np.arange(6.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        rng = np.random.default_rng(seed)
+        pts = grid[rng.permutation(len(grid))]
+        start = int(rng.integers(len(pts)))
+        d = reference_min_dist(pts, _FPS_BATCH, start)
+        assert np.count_nonzero(d == d.max()) > _FPS_BATCH
+        assert_matches_reference(pts, len(pts), start)
+
+    @pytest.mark.parametrize("n", [_FPS_BATCH - 1, _FPS_BATCH, _FPS_BATCH + 1,
+                                   2 * _FPS_BATCH - 1, 2 * _FPS_BATCH, 2 * _FPS_BATCH + 1])
+    def test_every_point_near_batch_size(self, n):
+        """k == n, with n about B (the last picks come from a batch, or
+        none do) and about 2B (a batch's candidates include picks)."""
+        rng = np.random.default_rng(100 + n)
+        assert_matches_reference(rng.normal(size=(n, 3)), n, int(rng.integers(n)))
+
+    @pytest.mark.parametrize("k", [_FPS_BATCH - 1, _FPS_BATCH, _FPS_BATCH + 1, _FPS_BATCH + 2])
+    def test_k_near_batch_size(self, k):
+        rng = np.random.default_rng(7)
+        assert_matches_reference(rng.normal(size=(500, 3)), k, 3)
+
+    def test_pinned_scan_0_both_layouts(self, pinned_scan_0, benchmark_config):
+        """The pinned scan in C and in Fortran order."""
+        assert_matches_reference(pinned_scan_0.points, benchmark_config.vote_subsample, 0)
+
+    def test_unpickled_pinned_scan_0(self, pinned_scan_0, benchmark_config):
+        """A cloud as a pool worker receives it: unpickled arrays carry a
+        float64 descriptor that is not numpy's own instance, which takes
+        `ufunc.at` off its fast path (see `_fps_apply_windows`)."""
+        cloud = pickle.loads(pickle.dumps(pinned_scan_0))
+        k = benchmark_config.vote_subsample
+        got = farthest_point_sampling(cloud, k)
+        assert np.array_equal(got, greedy_fps_reference(pinned_scan_0, k))
 
 
 def brute_chamfer(a, b):
