@@ -188,10 +188,10 @@ def farthest_point_sampling(cloud: PointCloud, k: int, start_index: int = 0) -> 
 
     min_dist = min_dist[order]  # in sorted order from here on
     picks, values = [j], [m]  # not yet applied, and the M that chose each
-    scratch = np.empty((3, 0))
+    block = np.empty((3, 0))
     i = _FPS_BATCH
     while i < k:  # so n > B
-        scratch = _fps_apply_windows(min_dist, coords, pts[picks], values, scratch)
+        block = _fps_apply_windows(min_dist, coords, pts[picks], values, block)
         cpos = np.argpartition(min_dist, n - _FPS_BATCH)[n - _FPS_BATCH:]  # sorted positions
         cand = order[cpos]
         by_index = np.argsort(cand)
@@ -231,11 +231,11 @@ def farthest_point_sampling(cloud: PointCloud, k: int, start_index: int = 0) -> 
     return selected
 
 
-def _fps_apply_windows(min_dist, coords, picked, values, scratch):
+def _fps_apply_windows(min_dist, coords, picked, values, block):
     """Lower the sorted-order ``min_dist`` by each picked point's distance
     inside its window (see `farthest_point_sampling`), where ``values``
     holds the M that chose each of the ``picked`` (m, 3) points.  The
-    differences of all windows go into one ``scratch`` (3, total) block, so
+    differences of all windows go into one (3, total) ``block``, so
     squares, sums and roots take one call each; returns the block for reuse.
 
     The windows are folded in slice by slice with ``np.minimum``, not with
@@ -249,15 +249,15 @@ def _fps_apply_windows(min_dist, coords, picked, values, scratch):
     lo = xs.searchsorted(picked[:, 0] - width, side="left")
     hi = xs.searchsorted(picked[:, 0] + width, side="right")
     ends = np.cumsum(hi - lo).tolist()
-    if ends[-1] > scratch.shape[1]:
-        scratch = np.empty((3, 2 * ends[-1]))
+    if ends[-1] > block.shape[1]:
+        block = np.empty((3, 2 * ends[-1]))
     spans = list(zip(lo.tolist(), hi.tolist(), [0] + ends[:-1], ends))
     for pj, (l, h, a, e) in zip(picked[:, :, None], spans):
-        np.subtract(coords[:, l:h], pj, out=scratch[:, a:e])
-    d = _root_sum_squares(scratch[:, : ends[-1]])
+        np.subtract(coords[:, l:h], pj, out=block[:, a:e])
+    d = _root_sum_squares(block[:, : ends[-1]])
     for l, h, a, e in spans:
         np.minimum(min_dist[l:h], d[a:e], out=min_dist[l:h])
-    return scratch
+    return block
 
 
 def _root_sum_squares(t: np.ndarray) -> np.ndarray:
