@@ -6,7 +6,8 @@ assignment algorithms", IEEE TAES 2016, the method of
 `scipy.optimize.linear_sum_assignment`), in numpy alone: detection and the
 metrics need no scipy, and a process that only detects never imports it.
 
-Two steps cut the search's work.  When there are more columns than rows,
+With more rows than columns the transpose is solved, so every column gets
+a row and the rows left over get none.  Two steps cut the search's work.  When there are more columns than rows,
 only the columns among some row's R cheapest (ties included) are kept: a
 row placed outside its R cheapest can always move to one of them that no
 other row holds, for a lower cost, so every optimum lies inside.  The duals
@@ -26,18 +27,23 @@ def hungarian_assign(cost) -> tuple[np.ndarray, float]:
     """Assign each row to a distinct column minimizing total cost.
 
     Returns (assignment, total_cost) where assignment[i] is the column given
-    to row i.  Requires 1 <= R <= C and finite entries.
+    to row i, or -1 for a row that gets none, which happens only when there
+    are more rows than columns.  Requires at least one row and one column,
+    and finite entries.
     """
     c = np.asarray(cost, dtype=np.float64)
     if c.ndim != 2:
         raise ValueError(f"cost must be 2-D, got shape {c.shape}")
     n_rows, n_cols = c.shape
-    if n_rows > n_cols:
-        raise ValueError(f"more rows than columns ({n_rows} > {n_cols})")
-    if n_rows == 0:
-        raise ValueError("cost matrix has no rows")
+    if n_rows == 0 or n_cols == 0:
+        raise ValueError(f"cost matrix has no rows or no columns, shape {c.shape}")
     if not np.isfinite(c).all():
         raise ValueError("cost matrix contains non-finite entries")
+    if n_rows > n_cols:
+        row_of, total = hungarian_assign(c.T)
+        assignment = np.full(n_rows, -1, dtype=np.intp)
+        assignment[row_of] = np.arange(n_cols)
+        return assignment, total
     cols = _candidate_columns(c)
     assignment = cols[_shortest_augmenting_paths(np.ascontiguousarray(c[:, cols]))]
     return assignment, float(c[np.arange(n_rows), assignment].sum())

@@ -263,7 +263,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the full pipeline")
     common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--sampling", choices=("aps", "fps", "random"))
+    p.add_argument("--sampling", choices=("aps", "fps"))
     p.add_argument("--centroids", type=int, help="max retained centroids")
     p.add_argument("--n-models", type=int, help="override model count")
     p.set_defaults(func=cmd_run)

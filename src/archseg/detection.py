@@ -2,8 +2,8 @@
 
 The proposal-seed selection solves a one-to-one assignment between sample
 slots distributed along the 32-point arch and the vote set, with cost
-combining vote-to-arch distance and vote displacement magnitude.  FPS and
-uniform-random selection are kept as baseline samplers for ablations.
+combining vote-to-arch distance and vote displacement magnitude.  FPS is
+kept as the baseline sampler for ablations.
 """
 
 from __future__ import annotations
@@ -106,14 +106,6 @@ def fps_vote_sampling(votes: Votes, n_samples: int) -> np.ndarray:
     return farthest_point_sampling(PointCloud(votes.position), n_samples)
 
 
-def random_vote_sampling(votes: Votes, n_samples: int, seed: int) -> np.ndarray:
-    """Baseline: uniform sampling without replacement over votes."""
-    if n_samples > len(votes):
-        raise ValueError("n_samples exceeds vote count")
-    rng = np.random.default_rng(seed)
-    return rng.choice(len(votes), size=n_samples, replace=False).astype(np.intp)
-
-
 def group_votes(selected, votes: Votes, radius: float) -> list[np.ndarray]:
     """Per selected vote, the indices of all votes within `radius` of it.
 
@@ -199,11 +191,9 @@ def detection_metrics(pred_centroids, gt_centroids, match_threshold: float) -> d
     if len(pred) == 0 or len(gt) == 0:
         raise ValueError("empty centroid set")
     d = distances(pred[:, None, :], gt[None, :, :])
-    if len(pred) > len(gt):
-        d = d.T  # hungarian_assign needs rows <= columns
     assignment, _ = hungarian_assign(d)
-    matched = d[np.arange(len(d)), assignment]
-    tp = int(np.sum(matched < match_threshold))
+    rows = np.flatnonzero(assignment >= 0)
+    tp = int(np.sum(d[rows, assignment[rows]] < match_threshold))
     return {
         "accuracy": 100.0 * tp / len(pred),
         "recall": 100.0 * tp / len(gt),

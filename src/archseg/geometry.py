@@ -113,8 +113,7 @@ def brute_force_k_nearest(points: np.ndarray, query, k: int):
 # Absolute slack of the FPS window: it covers the underflow of a squared
 # coordinate difference when min_dist is tiny (near-duplicate points).
 _FPS_WINDOW_ABS = 2.0**-500
-# Candidates per batch of FPS picks, and the picks taken one at a time
-# before the first batch (see `farthest_point_sampling`).
+# Most candidates per batch of FPS picks (see `farthest_point_sampling`).
 _FPS_BATCH = 64
 
 
@@ -132,33 +131,35 @@ def farthest_point_sampling(cloud: PointCloud, k: int, start_index: int = 0) -> 
     selected indices therefore do not depend on the points' memory layout or
     on the BLAS kernel.
 
-    Window contract: the points are sorted by (x, index) once.  When pick j
-    is applied, only the contiguous slice with |x - x_j| <= M * (1 + 1e-9) +
-    2**-500 is updated, where M is the max of min_dist that chose j.  A
-    point outside it is at least M from j: a computed distance is not below
-    |x - x_j| by more than that slack, whose absolute part covers squared
-    differences that underflow when points nearly coincide.  Its min_dist,
-    at most M once the picks before j are applied, cannot fall.  The bounds
-    x_j -/+ width are rounded, but rounding is monotone, so no sorted x
-    inside the exact window falls outside the searched slice.
+    Window contract: the points are sorted by (x, index) once, and min_dist
+    is kept in that order.  When pick j is applied, only the contiguous
+    slice with |x - x_j| <= M * (1 + 1e-9) + 2**-500 is updated, where M is
+    the max of min_dist that chose j (inf for start_index, whose window is
+    the whole cloud).  A point outside it is at least M from j: a computed
+    distance is not below |x - x_j| by more than that slack, whose absolute
+    part covers squared differences that underflow when points nearly
+    coincide.  Its min_dist, at most M once the picks before j are applied,
+    cannot fall.  The bounds x_j -/+ width are rounded, but rounding is
+    monotone, so no sorted x inside the exact window falls outside the
+    searched slice.
 
-    Batch contract: the first B = 64 picks are taken one at a time, each by
-    a full argmax; early batches would yield few picks, since their
-    candidates crowd the one region farthest from the few picks so far.
-    Then the picks are taken in batches.  A batch starts from every point's
-    exact min_dist and keeps the B points with the largest as candidates, in
-    index order; the largest min_dist of the others is the bound.  Each
+    Batch contract: the picks are taken in batches.  A batch starts from
+    every point's exact min_dist and keeps the B points with the largest as
+    candidates, in index order, where B is the number of picks so far, at
+    most 64; the largest min_dist of the others is the bound.  Each
     candidate's value stays exact: after every pick it is lowered by its
     distance to the pick, from one B x B matrix summed as the windows are.
     min_dist only falls, so no other point's value exceeds the bound: while
     the best candidate is strictly above it, that candidate is the argmax,
     and the lowest index at its value since no other point reaches it.
     When it only ties the bound, a lower-index point outside the candidates
-    may tie it, so one pick is taken by a full argmax instead.  A batch's
-    picks are applied together, every window as it would be one pick at a
-    time: a minimum does not depend on the order its distances are taken
-    in, so min_dist is bitwise what a full pass after every pick computes,
-    and the picks are the same.
+    may tie it, so one pick is taken among every point at that value.  A
+    batch's picks are applied together, every window as it would be one
+    pick at a time: a minimum does not depend on the order its distances
+    are taken in, so min_dist is bitwise what a full pass after every pick
+    computes, and the picks are the same.  B grows with the picks because
+    early batches yield few picks: their candidates crowd the one region
+    farthest from the few picks so far.
     """
     pts = cloud.points
     n = len(pts)
@@ -168,56 +169,39 @@ def farthest_point_sampling(cloud: PointCloud, k: int, start_index: int = 0) -> 
         raise ValueError(f"start_index={start_index} out of range")
     order = np.argsort(pts[:, 0], kind="stable")  # by (x, index)
     coords = np.ascontiguousarray(pts[order].T)  # sorted x, y, z rows
-    xs = coords[0]
-    min_dist = np.full(n, np.inf)  # in original index order
-    min_dist[start_index] = -np.inf  # a pick never wins the argmax again
+    min_dist = np.full(n, np.inf)
+    q = int(np.flatnonzero(order == start_index)[0])  # sorted position
+    min_dist[q] = -np.inf  # a pick never wins again
     selected = np.empty(k, dtype=np.intp)
-    selected[0] = j = start_index
-    m = np.inf
-    for i in range(1, min(k, _FPS_BATCH)):
-        pj = pts[j]
-        width = m * (1 + 1e-9) + _FPS_WINDOW_ABS
-        lo = int(xs.searchsorted(pj[0] - width, side="left"))
-        hi = int(xs.searchsorted(pj[0] + width, side="right"))
-        window = order[lo:hi]
-        d = _root_sum_squares(coords[:, lo:hi] - pj[:, None])
-        min_dist[window] = np.minimum(min_dist[window], d)
-        selected[i] = j = int(min_dist.argmax())
-        m = float(min_dist[j])
-        min_dist[j] = -np.inf
-
-    min_dist = min_dist[order]  # in sorted order from here on
-    picks, values = [j], [m]  # not yet applied, and the M that chose each
-    block = np.empty((3, 0))
-    i = _FPS_BATCH
-    while i < k:  # so n > B
-        block = _fps_apply_windows(min_dist, coords, pts[picks], values, block)
-        cpos = np.argpartition(min_dist, n - _FPS_BATCH)[n - _FPS_BATCH:]  # sorted positions
+    selected[0] = start_index
+    picks, values = [q], [np.inf]  # positions not yet applied, and the M that chose each
+    i = 1
+    while i < k:
+        _fps_apply_windows(min_dist, coords, picks, values)
+        kth = n - 1 - min(_FPS_BATCH, i)  # >= 0, since i < k <= n
+        part = np.argpartition(min_dist, kth)  # the bound at kth, the B largest after it
+        bound = float(min_dist[part[kth]])
+        cpos = part[kth + 1:]  # sorted positions
+        cpos = cpos[np.argsort(order[cpos])]  # in index order
         cand = order[cpos]
-        by_index = np.argsort(cand)
-        cand, cpos = cand[by_index], cpos[by_index]
         value = min_dist[cpos]
-        min_dist[cpos] = -np.inf
-        bound = float(min_dist.max())
         b = int(value.argmax())
         v = float(value[b])
-        if not v > bound:
-            min_dist[cpos] = value
-            m = min_dist.max()
-            at_max = np.flatnonzero(min_dist == m)
+        if not v > bound:  # so v, the largest value, ties the bound
+            at_max = np.flatnonzero(min_dist == v)
             q = at_max[order[at_max].argmin()]
-            selected[i] = j = int(order[q])
+            selected[i] = order[q]
             i += 1
-            picks, values = [j], [m]
+            picks, values = [q], [v]
             min_dist[q] = -np.inf
             continue
         c = coords.take(cpos, axis=1)  # C order, unlike coords[:, cpos]: faster below
         pair = _root_sum_squares(c[:, :, None] - c[:, None])
         picks, values = [], []
         while True:
-            selected[i] = j = int(cand[b])
+            selected[i] = cand[b]
             i += 1
-            picks.append(j)
+            picks.append(cpos[b])
             values.append(v)
             if i == k:
                 break
@@ -231,12 +215,12 @@ def farthest_point_sampling(cloud: PointCloud, k: int, start_index: int = 0) -> 
     return selected
 
 
-def _fps_apply_windows(min_dist, coords, picked, values, block):
-    """Lower the sorted-order ``min_dist`` by each picked point's distance
-    inside its window (see `farthest_point_sampling`), where ``values``
-    holds the M that chose each of the ``picked`` (m, 3) points.  The
-    differences of all windows go into one (3, total) ``block``, so
-    squares, sums and roots take one call each; returns the block for reuse.
+def _fps_apply_windows(min_dist, coords, picks, values):
+    """Lower the sorted-order ``min_dist`` by each pick's distance inside
+    its window (see `farthest_point_sampling`), where ``picks`` are sorted
+    positions and ``values`` holds the M that chose each.  The
+    differences of all windows go into one (3, total) block, so squares,
+    sums and roots take one call each.
 
     The windows are folded in slice by slice with ``np.minimum``, not with
     ``np.minimum.at``: an array that arrives by pickle, as a model does in a
@@ -244,20 +228,21 @@ def _fps_apply_windows(min_dist, coords, picked, values, block):
     instance, and ``ufunc.at`` then leaves its fast path (about 25x slower
     for 15k elements with numpy 2.4).
     """
-    width = np.asarray(values) * (1 + 1e-9) + _FPS_WINDOW_ABS
+    width = np.multiply(values, 1 + 1e-9) + _FPS_WINDOW_ABS
     xs = coords[0]
-    lo = xs.searchsorted(picked[:, 0] - width, side="left")
-    hi = xs.searchsorted(picked[:, 0] + width, side="right")
-    ends = np.cumsum(hi - lo).tolist()
-    if ends[-1] > block.shape[1]:
-        block = np.empty((3, 2 * ends[-1]))
-    spans = list(zip(lo.tolist(), hi.tolist(), [0] + ends[:-1], ends))
-    for pj, (l, h, a, e) in zip(picked[:, :, None], spans):
-        np.subtract(coords[:, l:h], pj, out=block[:, a:e])
-    d = _root_sum_squares(block[:, : ends[-1]])
+    x = xs[picks]
+    lo = xs.searchsorted(x - width, side="left").tolist()
+    hi = xs.searchsorted(x + width, side="right").tolist()
+    spans, e = [], 0  # (window, its columns in the block)
+    for l, h in zip(lo, hi):
+        a, e = e, e + h - l
+        spans.append((l, h, a, e))
+    block = np.empty((3, e))
+    for p, (l, h, a, e) in zip(picks, spans):
+        np.subtract(coords[:, l:h], coords[:, p, None], out=block[:, a:e])
+    d = _root_sum_squares(block)
     for l, h, a, e in spans:
         np.minimum(min_dist[l:h], d[a:e], out=min_dist[l:h])
-    return block
 
 
 def _root_sum_squares(t: np.ndarray) -> np.ndarray:

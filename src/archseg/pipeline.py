@@ -2,7 +2,7 @@
 
 An ExperimentConfig describes a synthetic dataset plus every stage knob:
 vote simulation, arch estimation mode (direct_fit / coarse / coarse_fine),
-vote sampling method (aps / fps / random), detection, and segmentation.
+vote sampling method (aps / fps), detection, and segmentation.
 run_dataset generates the models, runs the pipeline per model, and reduces
 per-model metrics into a MetricsReport with exact-mean aggregates.
 
@@ -50,7 +50,6 @@ from .detection import (
     make_proposals,
     nms,
     pregroup_votes,
-    random_vote_sampling,
 )
 from .segmentation import (
     SegParams,
@@ -63,7 +62,7 @@ from .segmentation import (
 from .synthetic import DentalModel, ScanConfig, VoteNoiseModel, generate_model, simulate_votes
 
 ARCH_MODES = ("direct_fit", "coarse", "coarse_fine")
-SAMPLING_METHODS = ("aps", "fps", "random")
+SAMPLING_METHODS = ("aps", "fps")
 
 
 @dataclass(frozen=True)
@@ -270,14 +269,12 @@ def estimate_arch(votes, config: ExperimentConfig, stages=None, keys=None) -> Ar
     return _stage(stages, keys, "refine", lambda: refine_arch(coarse, votes, config.refine))
 
 
-def select_votes(votes, arch: ArchPolyline, config: ExperimentConfig, seed: int) -> np.ndarray:
+def select_votes(votes, arch: ArchPolyline, config: ExperimentConfig) -> np.ndarray:
     """The sampled vote indices, min(`sampling.n_samples`, vote count) of them."""
     n = min(config.sampling.n_samples, len(votes))
     if config.sampling_method == "aps":
         return arch_aware_sampling(votes, arch, replace(config.sampling, n_samples=n))
-    if config.sampling_method == "fps":
-        return fps_vote_sampling(votes, n)
-    return random_vote_sampling(votes, n, seed)
+    return fps_vote_sampling(votes, n)
 
 
 def run_model(
@@ -299,9 +296,7 @@ def run_model(
         model, config.vote_subsample, config.noise, vote_seed
     ))
     arch = estimate_arch(votes, config, stages, keys)
-    selected = _stage(stages, keys, "select", lambda: select_votes(
-        votes, arch, config, vote_seed
-    ))
+    selected = _stage(stages, keys, "select", lambda: select_votes(votes, arch, config))
     proposals = _stage(stages, keys, "proposals", lambda: make_proposals(
         group_votes(selected, votes, config.detection.grouping_radius), votes
     ))

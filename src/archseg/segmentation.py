@@ -268,19 +268,14 @@ def iou_dice(pred_labels, gt_labels) -> dict:
 
     per_instance = []
     if len(pred_ids) == 0:
-        matched = {}
-    elif len(gt_ids) <= len(pred_ids):
-        assignment, _ = hungarian_assign(-iou)
-        matched = {a: int(assignment[a]) for a in range(len(gt_ids))}
+        assignment = [-1] * len(gt_ids)
     else:
-        assignment, _ = hungarian_assign(-iou.T)
-        matched = {int(assignment[b]): b for b in range(len(pred_ids))}
+        assignment = hungarian_assign(-iou)[0].tolist()
 
     total_iou = 0.0
     total_dice = 0.0
-    for a, g in enumerate(gt_ids):
-        b = matched.get(a)
-        if b is None or iou[a, b] == 0.0:
+    for a, (g, b) in enumerate(zip(gt_ids, assignment)):
+        if b < 0 or iou[a, b] == 0.0:
             per_instance.append(
                 {"gt_id": int(g), "pred_id": None, "iou": 0.0, "dice": 0.0}
             )

@@ -48,9 +48,21 @@ class TestHungarian:
         assert np.array_equal(assignment, np.arange(5))
         assert total == 0.0
 
-    def test_more_rows_than_cols_rejected(self):
-        with pytest.raises(ValueError):
-            hungarian_assign(np.zeros((3, 2)))
+    def test_more_rows_than_cols_solves_transpose(self):
+        """R > C: every column gets one row, the other rows get -1, and the
+        total is the brute-force optimum of the transpose."""
+        rng = np.random.default_rng(2000)
+        for _ in range(20):
+            c = int(rng.integers(1, 6))
+            r = int(rng.integers(c + 1, 9))
+            cost = rng.random((r, c))
+            assignment, total = hungarian_assign(cost)
+            rows = np.flatnonzero(assignment >= 0)
+            assert np.array_equal(np.sort(assignment[rows]), np.arange(c))
+            assert len(rows) == c and (assignment[assignment < 0] == -1).all()
+            _, expected = brute_force_assign(cost.T)
+            assert total == pytest.approx(expected, abs=1e-12)
+            assert total == pytest.approx(cost[rows, assignment[rows]].sum(), abs=1e-12)
 
     def test_non_finite_rejected(self):
         with pytest.raises(ValueError):
@@ -84,8 +96,8 @@ class TestHungarian:
         assert total >= cost.min(axis=1).sum() - 1e-12
 
     def test_no_rows_rejected(self):
-        for shape in [(0, 0), (0, 3)]:
-            with pytest.raises(ValueError, match="no rows"):
+        for shape in [(0, 0), (0, 3), (3, 0)]:
+            with pytest.raises(ValueError, match="no rows or no columns"):
                 hungarian_assign(np.zeros(shape))
 
     def test_not_2d_rejected(self):

@@ -156,6 +156,15 @@ class TestRun:
         bad.write_text(json.dumps({"arch_mode": "banana"}))
         assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
 
+    def test_random_sampling_method_exit_2(self, tmp_path, capsys):
+        """The uniform-random sampling baseline is gone: a config that still
+        names it is rejected like any other unknown method."""
+        bad = tmp_path / "random.json"
+        bad.write_text(json.dumps(dict(TINY_CONFIG, n_models=1, sampling_method="random")))
+        assert main(["run", "--config", str(bad), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and "sampling_method" in err[0]
+
     @pytest.mark.parametrize(
         "config, key",
         [

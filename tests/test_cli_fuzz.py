@@ -124,7 +124,7 @@ def arguments(draw):
     if command in ("run", "ablate-arch"):
         option(draw, argv, "--jobs", st.sampled_from([1, 2]))
     if command == "run":
-        option(draw, argv, "--sampling", st.sampled_from(["aps", "fps", "random"]))
+        option(draw, argv, "--sampling", st.sampled_from(["aps", "fps"]))
         option(draw, argv, "--centroids", st.integers(-1, 3))
     if command == "generate":
         option(draw, argv, "--weak-ratio", st.floats())

@@ -18,7 +18,6 @@ from archseg.detection import (
     make_proposals,
     nms,
     pregroup_votes,
-    random_vote_sampling,
 )
 from archseg.synthetic import (
     DEFAULT_ARCH_CONTROL,
@@ -132,13 +131,6 @@ class TestBaselineSamplers:
         a = fps_vote_sampling(vts, 10)
         assert np.array_equal(a, fps_vote_sampling(vts, 10))
         assert len(np.unique(a)) == 10
-
-    def test_random_seeded(self):
-        rng = np.random.default_rng(4)
-        vts = votes_at(rng.normal(size=(50, 3)))
-        assert np.array_equal(
-            random_vote_sampling(vts, 10, 7), random_vote_sampling(vts, 10, 7)
-        )
 
 
 class TestGrouping:

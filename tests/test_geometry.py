@@ -131,10 +131,11 @@ def greedy_fps_reference(cloud, k, start_index=0):
 
 
 def assert_matches_reference(pts, k, start_index):
-    for layout in (np.ascontiguousarray, np.asfortranarray):
-        c = PointCloud(layout(pts))
-        got = farthest_point_sampling(c, k, start_index)
-        assert np.array_equal(got, greedy_fps_reference(c, k, start_index))
+    """In C order, in Fortran order and after a pickle round trip."""
+    expected = greedy_fps_reference(PointCloud(pts), k, start_index)
+    for c in (PointCloud(np.ascontiguousarray(pts)), PointCloud(np.asfortranarray(pts)),
+              pickle.loads(pickle.dumps(PointCloud(pts)))):
+        assert np.array_equal(farthest_point_sampling(c, k, start_index), expected)
 
 
 @st.composite
@@ -247,12 +248,11 @@ def reference_min_dist(pts, k, start_index):
 
 
 class TestFPSBatch:
-    """Batches of picks (after the first `_FPS_BATCH`) pick what one pick
-    at a time picks."""
+    """Batches of picks pick what one pick at a time picks."""
 
     @pytest.mark.parametrize("seed", range(4))
     def test_candidates_tie_the_bound(self, seed):
-        """A shuffled 6 x 6 x 6 grid: when the first batch starts, every
+        """A shuffled 6 x 6 x 6 grid: after `_FPS_BATCH` picks, every
         unpicked point (more than B) is at distance 1 from the picks, so
         the best candidate only ties the bound and lower-index points at
         that value may be no candidates."""
@@ -264,13 +264,28 @@ class TestFPSBatch:
         assert np.count_nonzero(d == d.max()) > _FPS_BATCH
         assert_matches_reference(pts, len(pts), start)
 
-    @pytest.mark.parametrize("n", [_FPS_BATCH - 1, _FPS_BATCH, _FPS_BATCH + 1,
-                                   2 * _FPS_BATCH - 1, 2 * _FPS_BATCH, 2 * _FPS_BATCH + 1])
+    @pytest.mark.parametrize("n", range(2, 2 * _FPS_BATCH + 2))
     def test_every_point_near_batch_size(self, n):
-        """k == n, with n about B (the last picks come from a batch, or
-        none do) and about 2B (a batch's candidates include picks)."""
+        """k == n for every n up to 2B + 1: the candidate count grows with
+        the picks up to B, and near the end a batch's candidates include
+        picks."""
         rng = np.random.default_rng(100 + n)
         assert_matches_reference(rng.normal(size=(n, 3)), n, int(rng.integers(n)))
+
+    @pytest.mark.parametrize("case", ["grid", "symmetric", "all_equal"])
+    @pytest.mark.parametrize("start", ["first", "middle", "last"])
+    def test_early_picks_tie(self, case, start):
+        """Clouds whose first picks tie, so the first batches end in
+        full-argmax picks: a 4 x 4 x 4 grid, a cloud and its mirror image
+        through the origin, and 100 copies of one point (picks in index
+        order)."""
+        rng = np.random.default_rng(11)
+        grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
+        half = rng.normal(size=(50, 3))
+        pts = {"grid": grid, "symmetric": np.concatenate([half, -half]),
+               "all_equal": np.full((100, 3), 0.25)}[case]
+        n = len(pts)
+        assert_matches_reference(pts, n, {"first": 0, "middle": n // 2, "last": n - 1}[start])
 
     @pytest.mark.parametrize("k", [_FPS_BATCH - 1, _FPS_BATCH, _FPS_BATCH + 1, _FPS_BATCH + 2])
     def test_k_near_batch_size(self, k):

@@ -162,7 +162,7 @@ class TestRunDataset:
         scan_seed, vote_seed = model_seeds(cfg, 0)
         votes = simulate_votes(generate_model(cfg.scan, scan_seed), cfg.vote_subsample,
                                cfg.noise, vote_seed)
-        selected = pipeline.select_votes(votes, estimate_arch(votes, cfg), cfg, vote_seed)
+        selected = pipeline.select_votes(votes, estimate_arch(votes, cfg), cfg)
         assert len(selected) == len(votes)
 
     @pytest.mark.skipif(
