@@ -275,10 +275,10 @@ class TestFPSBatch:
     @pytest.mark.parametrize("case", ["grid", "symmetric", "all_equal"])
     @pytest.mark.parametrize("start", ["first", "middle", "last"])
     def test_early_picks_tie(self, case, start):
-        """Clouds whose first picks tie, so the first batches end in
-        full-argmax picks: a 4 x 4 x 4 grid, a cloud and its mirror image
-        through the origin, and 100 copies of one point (picks in index
-        order)."""
+        """Clouds whose picks tie while the candidate count still grows:
+        a 4 x 4 x 4 grid (from pick 2 on), a cloud and its mirror image
+        through the origin (from pick 7 or 37 on), and 100 copies of one
+        point (every pick, in index order)."""
         rng = np.random.default_rng(11)
         grid = np.stack(np.meshgrid(*[np.arange(4.0)] * 3, indexing="ij"), -1).reshape(-1, 3)
         half = rng.normal(size=(50, 3))
