@@ -7,7 +7,9 @@ assignment algorithms", IEEE TAES 2016, the method of
 metrics need no scipy, and a process that only detects never imports it.
 
 With more rows than columns the transpose is solved, so every column gets
-a row and the rows left over get none.  Two steps cut the search's work.  When there are more columns than rows,
+a row and the rows left over get none.
+
+Two steps cut the search's work.  When there are more columns than rows,
 only the columns among some row's R cheapest (ties included) are kept: a
 row placed outside its R cheapest can always move to one of them that no
 other row holds, for a lower cost, so every optimum lies inside.  The duals

@@ -222,8 +222,9 @@ def _fps_apply_windows(min_dist, coords, picks, values, block):
     positions and ``values`` holds the M that chose each.  The
     differences of all windows go into one (3, total) slice of ``block``,
     so squares, sums and roots take one call each; returns the block, grown
-    if it was too small, for the next call.  A block allocated per call
-    costs fresh pages: about 750 more minor page faults per pinned scan.
+    if it was too small, for the next call.  With glibc's malloc, a block
+    allocated per call made the later stages fault in fresh pages: about
+    500 more minor page faults per detection-only pinned model.
 
     The windows are folded in slice by slice with ``np.minimum``, not with
     ``np.minimum.at``: an array that arrives by pickle, as a model does in a
@@ -236,15 +237,15 @@ def _fps_apply_windows(min_dist, coords, picks, values, block):
     x = xs[picks]
     lo = xs.searchsorted(x - width, side="left").tolist()
     hi = xs.searchsorted(x + width, side="right").tolist()
-    spans, e = [], 0  # (window, its columns in the block)
+    spans, total = [], 0  # (window, its columns in the block)
     for l, h in zip(lo, hi):
-        a, e = e, e + h - l
-        spans.append((l, h, a, e))
-    if e > block.shape[1]:
-        block = np.empty((3, 2 * e))
+        spans.append((l, h, total, total + h - l))
+        total += h - l
+    if total > block.shape[1]:
+        block = np.empty((3, 2 * total))
     for p, (l, h, a, e) in zip(picks, spans):
         np.subtract(coords[:, l:h], coords[:, p, None], out=block[:, a:e])
-    d = _root_sum_squares(block[:, :e])
+    d = _root_sum_squares(block[:, :total])
     for l, h, a, e in spans:
         np.minimum(min_dist[l:h], d[a:e], out=min_dist[l:h])
     return block
