@@ -144,7 +144,7 @@ def _smooth_offsets(offsets: np.ndarray, lam: float, passes: int) -> np.ndarray:
     return o
 
 
-def refine_arch(init: ArchPolyline, votes, params: RefineParams = RefineParams()) -> ArchPolyline:
+def refine_arch(init: ArchPolyline, votes, params: RefineParams) -> ArchPolyline:
     """Iteratively offset arch points toward nearby vote evidence.
 
     Per round: inverse-distance-weighted mean offset toward the `neighbors`

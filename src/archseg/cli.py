@@ -44,15 +44,6 @@ def _config_from_args(args) -> ExperimentConfig:
     config = load_config(args.config) if args.config else ExperimentConfig()
     if getattr(args, "seed", None) is not None:
         config = dataclasses.replace(config, seed=args.seed)
-    if getattr(args, "sampling", None) is not None:
-        config = dataclasses.replace(config, sampling_method=args.sampling)
-    if getattr(args, "centroids", None) is not None:
-        config = dataclasses.replace(
-            config,
-            detection=dataclasses.replace(
-                config.detection, max_centroids=args.centroids
-            ),
-        )
     if getattr(args, "n_models", None) is not None:
         config = dataclasses.replace(config, n_models=args.n_models)
     return config
@@ -263,8 +254,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the full pipeline")
     common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--sampling", choices=("aps", "fps"))
-    p.add_argument("--centroids", type=int, help="max retained centroids")
     p.add_argument("--n-models", type=int, help="override model count")
     p.set_defaults(func=cmd_run)
 

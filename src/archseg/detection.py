@@ -206,7 +206,7 @@ def detection_loss(
     proposals: Proposals,
     assigned,
     model: DentalModel,
-    params: DetectionLossParams = DetectionLossParams(),
+    params: DetectionLossParams,
 ) -> dict:
     """Evaluation-only detection loss terms and their combination, against
     the model's centroids; `assigned` is `assign_gt_confidence`'s output."""

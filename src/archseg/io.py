@@ -169,8 +169,8 @@ def load_dataset(manifest_path) -> list[DentalModel]:
 
 
 def read_detection_json(path) -> dict:
+    """A detection file's JSON object, its `centroids` as a float64 array."""
     with open(path) as fh:
         payload = json.load(fh)
     payload["centroids"] = np.asarray(payload["centroids"], dtype=np.float64)
-    payload["confidences"] = np.asarray(payload["confidences"], dtype=np.float64)
     return payload

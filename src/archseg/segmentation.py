@@ -32,7 +32,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assignment import hungarian_assign
-from .geometry import ORIGIN, distances, k_nearest
+from .geometry import k_nearest
 from .synthetic import DentalModel
 
 
@@ -80,11 +80,13 @@ def neighbour_table(points) -> NeighbourTable:
 
 @dataclass(frozen=True)
 class Patch:
-    """The patch_size cloud points nearest a detected centroid."""
+    """The patch_size cloud points nearest a detected centroid, sorted by
+    distance to it (ties by index)."""
 
     center: np.ndarray
     point_indices: np.ndarray
     relative_coords: np.ndarray
+    distances: np.ndarray  # to the center
 
 
 @dataclass(frozen=True)
@@ -99,13 +101,13 @@ class PatchMask:
     degenerate: bool = False
 
 
-def crop_patch(model: DentalModel, center, params: SegParams = SegParams()) -> Patch:
+def crop_patch(model: DentalModel, center, params: SegParams) -> Patch:
     """Crop the patch_size nearest points to `center` (`k_nearest`: ties
     broken by index)."""
     pts = model.cloud.points
     c = np.asarray(center, dtype=np.float64).reshape(3)
-    idx, _ = k_nearest(pts, c, params.patch_size)
-    return Patch(center=c, point_indices=idx, relative_coords=pts[idx] - c)
+    idx, dist = k_nearest(pts, c, params.patch_size)
+    return Patch(center=c, point_indices=idx, relative_coords=pts[idx] - c, distances=dist)
 
 
 def _table_neighbours(patch: Patch, table: NeighbourTable, k: int):
@@ -150,7 +152,7 @@ def _table_neighbours(patch: Patch, table: NeighbourTable, k: int):
 
 
 def segment_patch(patch: Patch, params: SegParams, table: NeighbourTable) -> PatchMask:
-    """Geodesic region growing from the point nearest the patch center.
+    """Geodesic region growing from patch position 0, the point nearest the center.
 
     k-NN graph edges longer than twice the median edge length are removed,
     which cuts the graph across the tooth/gingiva and tooth/tooth gaps;
@@ -191,15 +193,14 @@ def segment_patch(patch: Patch, params: SegParams, table: NeighbourTable) -> Pat
     indptr = np.concatenate([[0], np.cumsum(keep.sum(axis=1))])
     graph = csr_matrix((dist[keep], nn[keep], indptr), shape=(n, n))
 
-    seed = int(np.argmin(distances(pts, ORIGIN)))
-    g = dijkstra(graph, directed=False, indices=seed, limit=params.max_geodesic_radius)
+    g = dijkstra(graph, directed=False, indices=0, limit=params.max_geodesic_radius)
 
     reachable = np.isfinite(g)
     probs = np.zeros(n)
     degenerate = bool(reachable.sum() <= 1)
     if degenerate:
         warnings.warn("patch seed is isolated; emitting a degenerate mask")
-        probs[seed] = 1.0
+        probs[0] = 1.0
     else:
         n_core = max(1, int(round(0.05 * n)))
         r0 = float(np.median(np.sort(g[reachable])[:n_core]))
@@ -209,13 +210,13 @@ def segment_patch(patch: Patch, params: SegParams, table: NeighbourTable) -> Pat
     keep = probs > 0
     return PatchMask(
         point_indices=patch.point_indices[keep],
-        distances=distances(pts[keep], ORIGIN),
+        distances=patch.distances[keep],
         probabilities=probs[keep],
         degenerate=degenerate,
     )
 
 
-def fuse_patches(model: DentalModel, masks, params: SegParams = SegParams()) -> np.ndarray:
+def fuse_patches(model: DentalModel, masks, params: SegParams) -> np.ndarray:
     """Per-point argmax fusion of patch masks into instance labels: 0 is
     background, k >= 1 the k-th mask's instance.
 

@@ -3,8 +3,8 @@
 Teeth are superellipsoid surface samples placed along a configurable cubic
 Bézier arch in the z=0 jaw plane, with a gingiva band of unlabeled points
 below.  The vote simulator stands in for a trained voting network: tooth
-seeds vote toward their centroid with optional Gaussian noise, gingiva seeds
-are either suppressed or emit near-gum clutter votes.
+seeds vote toward their centroid with optional Gaussian noise, and a fraction
+of the gingiva seeds emit near-gum clutter votes.
 """
 
 from __future__ import annotations
@@ -129,13 +129,10 @@ class Votes:
 @dataclass(frozen=True)
 class VoteNoiseModel:
     tooth_vote_sigma: float = 0.0
-    gingiva_vote_mode: str = "suppressed"  # or "clutter"
-    clutter_fraction: float = 0.0
+    clutter_fraction: float = 0.0  # share of gingiva seeds that vote
     clutter_sigma: float = 0.02
 
     def __post_init__(self):
-        if self.gingiva_vote_mode not in ("suppressed", "clutter"):
-            raise ValueError("gingiva_vote_mode must be 'suppressed' or 'clutter'")
         if self.tooth_vote_sigma < 0 or self.clutter_sigma < 0:
             raise ValueError("sigmas must be non-negative")
         if not 0.0 <= self.clutter_fraction <= 1.0:
@@ -240,9 +237,9 @@ def simulate_votes(
     """Simulated Hough votes for FPS-selected seed points, in seed order.
 
     Tooth seeds vote toward their instance centroid (plus Gaussian noise);
-    gingiva seeds are dropped in 'suppressed' mode, or in 'clutter' mode a
-    fraction of them emit near-seed votes, the distractors arch-aware
-    sampling is designed to reject.
+    a gingiva seed emits a near-seed vote, a distractor arch-aware sampling
+    is designed to reject, when its draw is below `clutter_fraction`, and
+    is dropped otherwise.
     """
     if subsample > model.cloud.size:
         raise ValueError("subsample exceeds cloud size")
@@ -254,11 +251,7 @@ def simulate_votes(
 
     label = model.labels[seeds]
     tooth = label > 0
-    clutter = (
-        ~tooth
-        & (noise.gingiva_vote_mode == "clutter")
-        & (keep_draw < noise.clutter_fraction)
-    )
+    clutter = ~tooth & (keep_draw < noise.clutter_fraction)
     # label - 1 is -1 on gingiva seeds; np.where discards those rows
     to_centroid = model.centroids[label - 1] - model.cloud.points[seeds]
     disp = np.where(

@@ -129,13 +129,16 @@ class TestRun:
             reports.append(json.dumps(report, sort_keys=True))
         assert reports[0] == reports[1]
 
-    def test_sampling_override(self, tmp_path, config_path, dataset_dir):
+    def test_sampling_override(self, tmp_path, dataset_dir):
+        """The sampling method is set by the config file alone."""
         out_a = tmp_path / "aps"
         out_f = tmp_path / "fps"
         for out, sampling in ((out_a, "aps"), (out_f, "fps")):
+            config = tmp_path / f"{sampling}.json"
+            config.write_text(json.dumps(dict(TINY_CONFIG, sampling_method=sampling)))
             rc = main([
-                "run", "--config", str(config_path), "--dataset", str(dataset_dir),
-                "--out", str(out), "--sampling", sampling,
+                "run", "--config", str(config), "--dataset", str(dataset_dir),
+                "--out", str(out),
             ])
             assert rc == 0
         with open(out_a / "report.json") as fh:
@@ -147,6 +150,17 @@ class TestRun:
         # sampling-independent fields agree
         for ma, mf in zip(a["per_model"], f["per_model"]):
             assert ma["l_offset"] == mf["l_offset"]
+
+    @pytest.mark.parametrize("flag", [["--sampling", "fps"], ["--centroids", "20"]],
+                             ids=["sampling", "centroids"])
+    def test_method_flag_exit_2(self, tmp_path, config_path, capsys, flag):
+        """`sampling_method` and `detection.max_centroids` are config keys
+        only; `run` has no flag that restates them."""
+        with pytest.raises(SystemExit) as exc:
+            main(["run", "--config", str(config_path), "--out", str(tmp_path / "o"), *flag])
+        assert exc.value.code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
 
     def test_bad_config_exit_2(self, tmp_path):
         assert main(["run", "--config", "/no/such.json", "--out", str(tmp_path)]) == 2
@@ -198,6 +212,15 @@ class TestRun:
             pytest.param(
                 dict(TINY_CONFIG, noise={"seed": 123}), "unknown VoteNoiseModel key(s): seed",
                 id="noise_seed",
+            ),
+            # `clutter_fraction` alone sets how many gingiva seeds vote
+            *(
+                pytest.param(
+                    dict(TINY_CONFIG, noise={"gingiva_vote_mode": mode, "clutter_fraction": 0.25}),
+                    "unknown VoteNoiseModel key(s): gingiva_vote_mode",
+                    id=f"gingiva_vote_mode_{mode}",
+                )
+                for mode in ("clutter", "suppressed")
             ),
         ],
     )
@@ -539,6 +562,21 @@ class TestEvalAndReport:
             "--gt-json", str(dataset_dir / "model_0000.json"),
         ])
         assert rc == 0
+
+    def test_eval_detection_json_without_confidences(self, tmp_path, dataset_dir, capsys):
+        """eval reads only a detection file's `centroids`."""
+        model = aio.load_model(
+            dataset_dir / "model_0000.ply", dataset_dir / "model_0000.json"
+        )
+        pred = tmp_path / "det.json"
+        pred.write_text(json.dumps({"centroids": model.centroids.tolist()}))
+        rc = main([
+            "eval", "--pred", str(pred),
+            "--gt-ply", str(dataset_dir / "model_0000.ply"),
+            "--gt-json", str(dataset_dir / "model_0000.json"),
+        ])
+        assert rc == 0
+        assert json.loads(capsys.readouterr().out)["accuracy"] == 100.0
 
     def test_eval_truncated_ply_exit_2(self, tmp_path, dataset_dir, capsys):
         pred = tmp_path / "cut.ply"

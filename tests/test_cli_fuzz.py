@@ -123,9 +123,6 @@ def arguments(draw):
         option(draw, argv, "--n-models", st.integers(-1, 2))
     if command in ("run", "ablate-arch"):
         option(draw, argv, "--jobs", st.sampled_from([1, 2]))
-    if command == "run":
-        option(draw, argv, "--sampling", st.sampled_from(["aps", "fps"]))
-        option(draw, argv, "--centroids", st.integers(-1, 3))
     if command == "generate":
         option(draw, argv, "--weak-ratio", st.floats())
     return argv

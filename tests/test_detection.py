@@ -6,6 +6,7 @@ from hypothesis.extra import numpy as hnp
 from archseg.arch import sample_arch_from_bezier
 from archseg.bezier import BezierCurve
 from archseg.detection import (
+    DetectionLossParams,
     DetectionParams,
     SamplingParams,
     aps_cost_matrix,
@@ -244,7 +245,7 @@ class TestDetectionLoss:
         clusters = group_votes(sel, votes, 0.1)
         props = make_proposals(clusters, votes)
         assigned = assign_gt_confidence(props, model.centroids, 0.3)
-        loss = detection_loss(votes, props, assigned, model)
+        loss = detection_loss(votes, props, assigned, model, DetectionLossParams())
         assert loss["l_det"] == pytest.approx(
             loss["l_offset"] + loss["l_conf"] + 0.1 * loss["l_centers"], rel=1e-12
         )
@@ -256,7 +257,7 @@ class TestDetectionLoss:
         clusters = group_votes(sel, votes, 0.1)
         props = make_proposals(clusters, votes)
         assigned = assign_gt_confidence(props, model.centroids, 0.3)
-        loss = detection_loss(votes, props, assigned, model)
+        loss = detection_loss(votes, props, assigned, model, DetectionLossParams())
         assert loss["l_offset"] == pytest.approx(0.0, abs=1e-15)
         assert loss["l_centers"] == pytest.approx(0.0, abs=1e-15)
 

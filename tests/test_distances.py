@@ -12,7 +12,7 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 import archseg
-from archseg import arch, bezier, detection, geometry, segmentation, synthetic
+from archseg import arch, bezier, detection, geometry, synthetic
 from archseg.arch import ARCH_POINTS
 from archseg.detection import SamplingParams, aps_cost_matrix
 from archseg.geometry import distances
@@ -107,9 +107,10 @@ def _pinned_variants(config):
 
 def test_pipeline_matches_norm_oracle(benchmark_config, monkeypatch):
     """Every stage gives the same per-model numbers when each module's
-    `distances` binding is replaced by the broadcast `np.linalg.norm`."""
+    `distances` binding is replaced by the broadcast `np.linalg.norm`
+    (`segmentation` reads its distances from `geometry.k_nearest`)."""
     kernel = _pinned_variants(benchmark_config)
-    for module in (arch, bezier, detection, geometry, segmentation, synthetic):
+    for module in (arch, bezier, detection, geometry, synthetic):
         assert module.distances is distances
         monkeypatch.setattr(module, "distances", norm_reference)
     assert _pinned_variants(benchmark_config) == kernel

@@ -1,11 +1,14 @@
+import ast
 import dataclasses
 import json
 import multiprocessing
 import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import archseg
 from archseg import pipeline
 from archseg.pipeline import (
     STAGE_FIELDS,
@@ -93,6 +96,53 @@ class TestConfig:
         cfg = ExperimentConfig.from_dict({"n_models": 2})
         assert cfg.n_models == 2
         assert cfg.arch_mode == "coarse_fine"
+
+
+# The config section classes: ScanConfig, VoteNoiseModel and the *Params.
+SECTION_CLASSES = {
+    f.default_factory.__name__
+    for f in dataclasses.fields(ExperimentConfig)
+    if dataclasses.is_dataclass(f.default_factory)
+}
+
+
+def section_default_sites(source: str) -> list[str]:
+    """"function.parameter" for each parameter of a module's functions whose
+    default is a config section instance (a call of a SECTION_CLASSES name)."""
+    sites = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            continue
+        args = node.args
+        positional = args.posonlyargs + args.args
+        pairs = [*zip(positional[len(positional) - len(args.defaults):], args.defaults),
+                 *zip(args.kwonlyargs, args.kw_defaults)]
+        for arg, default in pairs:
+            if (isinstance(default, ast.Call)
+                    and ast.unparse(default.func).split(".")[-1] in SECTION_CLASSES):
+                sites.append(f"{getattr(node, 'name', '<lambda>')}.{arg.arg}")
+    return sites
+
+
+def test_no_config_section_default():
+    """A function whose value the config holds takes it without a default,
+    so the config's defaults have one home."""
+    assert SECTION_CLASSES >= {"ScanConfig", "VoteNoiseModel", "SegParams", "RefineParams"}
+    found = sorted(
+        f"{path.name}: {site}"
+        for path in Path(archseg.__file__).parent.glob("*.py")
+        for site in section_default_sites(path.read_text())
+    )
+    assert not found, f"pass the config's section instead of a default: {found}"
+    source = (
+        "def f(a, p: SegParams = SegParams(), q=3, *, r=seg.RefineParams()): pass\n"
+        "def g(s=ScanConfig, t=make(VoteNoiseModel()), u=None): pass\n"
+        "class A:\n    def h(self, n=VoteNoiseModel(clutter_fraction=0.1)): pass\n"
+        "k = lambda c=DetectionParams(): c\n"
+    )
+    assert sorted(section_default_sites(source)) == [
+        "<lambda>.c", "f.p", "f.r", "h.n",
+    ]
 
 
 class TestRunModel:
@@ -214,8 +264,7 @@ STAGED = dataclasses.replace(
     n_models=1,
     with_segmentation=False,
     noise=VoteNoiseModel(
-        tooth_vote_sigma=0.02, gingiva_vote_mode="clutter", clutter_fraction=0.25,
-        clutter_sigma=0.08,
+        tooth_vote_sigma=0.02, clutter_fraction=0.25, clutter_sigma=0.08,
     ),
 )
 
@@ -264,7 +313,6 @@ CHANGED_VALUES = {
     "scan.missing_tooth_prob": 0.3,
     "scan.crowding_jitter": 0.02,
     "scan.misalignment_angle_max": 0.3,
-    "noise.gingiva_vote_mode": "suppressed",
     "arch_mode": "coarse",
     "sampling_method": "fps",
     "segmentation.prob_decay": 8.0,

@@ -118,20 +118,10 @@ class TestSegmentPatch:
         # one far-away point: its kNN edges all prune, seed isolated
         rng = np.random.default_rng(0)
         pts = np.concatenate([rng.normal(0, 0.01, (63, 3)), [[5.0, 5.0, 5.0]]])
-
-        class FakeModel:
-            pass
-
-        from archseg.geometry import PointCloud
-        from archseg.segmentation import Patch
-
-        patch = Patch(
-            center=np.array([5.0, 5.0, 5.0]),
-            point_indices=np.arange(64),
-            relative_coords=pts - [5.0, 5.0, 5.0],
-        )
+        params = SegParams(patch_size=64)
+        patch = crop_patch(types.SimpleNamespace(cloud=PointCloud(pts)), pts[63], params)
         with pytest.warns(UserWarning):
-            mask = segment_patch(patch, SegParams(patch_size=64), neighbour_table(pts))
+            mask = segment_patch(patch, params, neighbour_table(pts))
         assert mask.degenerate
         assert mask.probabilities.sum() == 1.0
         assert np.array_equal(mask.point_indices, [63])
@@ -144,36 +134,36 @@ def origin_mask(model, idx, probabilities):
 
 
 class TestFusePatches:
-    def test_single_patch_full_cover(self, model):
+    def test_single_patch_full_cover(self, model, params):
         n = model.cloud.size
-        labels = fuse_patches(model, [origin_mask(model, np.arange(n), np.ones(n))])
+        labels = fuse_patches(model, [origin_mask(model, np.arange(n), np.ones(n))], params)
         assert (labels == 1).all()
 
-    def test_disjoint_patches(self, model):
+    def test_disjoint_patches(self, model, params):
         a = np.arange(0, 100)
         b = np.arange(100, 200)
         masks = [origin_mask(model, a, np.ones(100)), origin_mask(model, b, np.full(100, 0.6))]
-        labels = fuse_patches(model, masks)
+        labels = fuse_patches(model, masks, params)
         assert (labels[a] == 1).all()
         assert (labels[b] == 2).all()
         assert (labels[200:] == 0).all()
 
-    def test_argmax_conflict_resolution(self, model):
+    def test_argmax_conflict_resolution(self, model, params):
         idx = np.arange(50)
         masks = [origin_mask(model, idx, np.full(50, 0.7)), origin_mask(model, idx, np.full(50, 0.9))]
-        labels = fuse_patches(model, masks)
+        labels = fuse_patches(model, masks, params)
         assert (labels[idx] == 2).all()
 
-    def test_exact_tie_goes_to_nearer_center_then_lower_index(self, model):
+    def test_exact_tie_goes_to_nearer_center_then_lower_index(self, model, params):
         idx = np.arange(40)
         p = np.full(40, 0.8)
         far, near = PatchMask(idx, np.full(40, 2.0), p), PatchMask(idx, np.full(40, 1.0), p)
-        assert (fuse_patches(model, [far, near])[idx] == 2).all()
-        assert (fuse_patches(model, [near, far])[idx] == 1).all()
-        assert (fuse_patches(model, [near, near])[idx] == 1).all()
+        assert (fuse_patches(model, [far, near], params)[idx] == 2).all()
+        assert (fuse_patches(model, [near, far], params)[idx] == 1).all()
+        assert (fuse_patches(model, [near, near], params)[idx] == 1).all()
 
-    def test_below_accept_prob_unlabeled(self, model):
-        labels = fuse_patches(model, [origin_mask(model, np.arange(30), np.full(30, 0.4))])
+    def test_below_accept_prob_unlabeled(self, model, params):
+        labels = fuse_patches(model, [origin_mask(model, np.arange(30), np.full(30, 0.4))], params)
         assert (labels == 0).all()
 
 
@@ -325,7 +315,7 @@ def crop_patch_reference(model, center, params):
     c = np.asarray(center, dtype=np.float64).reshape(3)
     d = np.linalg.norm(pts - c, axis=1)
     idx = np.lexsort((np.arange(len(pts)), d))[: params.patch_size]
-    return Patch(center=c, point_indices=idx, relative_coords=pts[idx] - c)
+    return Patch(center=c, point_indices=idx, relative_coords=pts[idx] - c, distances=d[idx])
 
 
 def segment_patch_reference(patch, params):
@@ -370,6 +360,7 @@ def assert_patches_match_reference(model, centers, params):
         want = crop_patch_reference(model, center, params)
         assert np.array_equal(patch.point_indices, want.point_indices)
         assert np.array_equal(patch.relative_coords, want.relative_coords)
+        assert np.array_equal(patch.distances, want.distances)
         with warnings.catch_warnings():  # degenerate patches warn
             warnings.simplefilter("ignore")
             mask = segment_patch(patch, params, table)

@@ -81,7 +81,7 @@ class TestSimulateVotes:
         uniq = np.unique(np.round(votes.position, 12), axis=0)
         assert len(uniq) == model.n_teeth
         label = model.labels[votes.seed_index]
-        assert (label > 0).all()  # suppressed mode drops gingiva
+        assert (label > 0).all()  # clutter_fraction 0 drops gingiva
         assert np.allclose(votes.position, model.centroids[label - 1], atol=1e-12)
 
     def test_vote_identities(self, model):
@@ -95,20 +95,17 @@ class TestSimulateVotes:
             np.linalg.norm(votes.displacement, axis=1), abs=1e-12
         )
 
-    def test_clutter_zero_fraction_equals_suppressed(self, model):
-        a = simulate_votes(model, 512, VoteNoiseModel(), 4)
-        b = simulate_votes(
-            model,
-            512,
-            VoteNoiseModel(gingiva_vote_mode="clutter", clutter_fraction=0.0),
-            4,
-        )
-        assert len(a) == len(b)
-        assert np.array_equal(a.seed_index, b.seed_index)
-        assert np.array_equal(a.position, b.position)
+    def test_zero_clutter_fraction_casts_no_gingiva_vote(self, model):
+        """The votes at fraction 0 are the tooth seeds' votes at fraction 1."""
+        none = simulate_votes(model, 512, VoteNoiseModel(clutter_fraction=0.0), 4)
+        every = simulate_votes(model, 512, VoteNoiseModel(clutter_fraction=1.0), 4)
+        tooth = model.labels[every.seed_index] > 0
+        assert not tooth.all()
+        assert np.array_equal(none.seed_index, every.seed_index[tooth])
+        assert np.array_equal(none.position, every.position[tooth])
 
     def test_clutter_adds_gingiva_votes(self, model):
-        noise = VoteNoiseModel(gingiva_vote_mode="clutter", clutter_fraction=1.0)
+        noise = VoteNoiseModel(clutter_fraction=1.0)
         votes = simulate_votes(model, 1024, noise, 4)
         gum = model.labels[votes.seed_index] == 0
         assert gum.sum() > 0
