@@ -224,8 +224,17 @@ def cmd_report(args) -> int:
     return EXIT_OK
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises ValueError where argparse would print the usage and exit 2,
+    so `main` reports a usage error as one `error:` line; subparsers
+    inherit the class, and `--help` still prints and exits 0."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="archseg", description="Arch-prior tooth detection and segmentation."
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -291,9 +300,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

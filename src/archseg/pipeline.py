@@ -21,7 +21,7 @@ import json
 import math
 import time
 import traceback
-from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass, field, fields, is_dataclass, replace
 
@@ -289,43 +289,53 @@ def run_model(
     Segment outputs are keyed by the segment key and the retained
     centroid's float64 bytes, so only centroids no earlier call segmented
     are cropped and segmented here.
+
+    The neighbour table reads only the scan, so when segmentation needs one
+    and `stages` does not hold it, `neighbour_table` runs on a worker thread
+    from before the votes stage until the segment stage takes its result
+    (cKDTree releases the GIL while it queries).  The thread is joined
+    before this returns or raises.
     """
     t0 = time.perf_counter()
     keys = None if stages is None else stage_keys(config)
-    votes = _stage(stages, keys, "votes", lambda: simulate_votes(
-        model, config.vote_subsample, config.noise, vote_seed
-    ))
-    arch = estimate_arch(votes, config, stages, keys)
-    selected = _stage(stages, keys, "select", lambda: select_votes(votes, arch, config))
-    proposals = _stage(stages, keys, "proposals", lambda: make_proposals(
-        group_votes(selected, votes, config.detection.grouping_radius), votes
-    ))
-    assigned = assign_gt_confidence(
-        proposals, model.centroids, config.detection.conf_gt_threshold
-    )
-    retained = nms(proposals, config.detection.nms_radius, config.detection.max_centroids)
-    pred_centroids = proposals.position[retained]
+    with ThreadPoolExecutor(max_workers=1) as worker:
+        pending = None
+        if config.with_segmentation and (stages is None or keys["table"] not in stages):
+            pending = worker.submit(neighbour_table, model.cloud.points)
+        votes = _stage(stages, keys, "votes", lambda: simulate_votes(
+            model, config.vote_subsample, config.noise, vote_seed
+        ))
+        arch = estimate_arch(votes, config, stages, keys)
+        selected = _stage(stages, keys, "select", lambda: select_votes(votes, arch, config))
+        proposals = _stage(stages, keys, "proposals", lambda: make_proposals(
+            group_votes(selected, votes, config.detection.grouping_radius), votes
+        ))
+        assigned = assign_gt_confidence(
+            proposals, model.centroids, config.detection.conf_gt_threshold
+        )
+        retained = nms(proposals, config.detection.nms_radius, config.detection.max_centroids)
+        pred_centroids = proposals.position[retained]
 
-    metrics = detection_metrics(
-        pred_centroids, model.centroids, config.detection.match_threshold
-    )
-    metrics.update(detection_loss(votes, proposals, assigned, model, config.loss))
-    metrics["arch_mse"] = arch_mse(arch, model.gt_arch)
-    metrics["n_detected"] = len(retained)
-    metrics["n_teeth"] = model.n_teeth
-    metrics["n_votes"] = len(votes)
+        metrics = detection_metrics(
+            pred_centroids, model.centroids, config.detection.match_threshold
+        )
+        metrics.update(detection_loss(votes, proposals, assigned, model, config.loss))
+        metrics["arch_mse"] = arch_mse(arch, model.gt_arch)
+        metrics["n_detected"] = len(retained)
+        metrics["n_teeth"] = model.n_teeth
+        metrics["n_votes"] = len(votes)
 
-    if config.with_segmentation:
-        params = config.segmentation
-        # a stored segment entry is always stored beside its table
-        table = _stage(stages, keys, "table", lambda: neighbour_table(model.cloud.points))
-        masks = [
-            _stage(stages, keys, "segment", lambda c=c: segment_patch(
-                crop_patch(model, c, params), params, table
-            ), c.tobytes())
-            for c in pred_centroids
-        ]
-        metrics.update(iou_dice(fuse_patches(model, masks, params), model.labels))
+        if config.with_segmentation:
+            params = config.segmentation
+            # a stored segment entry is always stored beside its table
+            table = _stage(stages, keys, "table", lambda: pending.result())
+            masks = [
+                _stage(stages, keys, "segment", lambda c=c: segment_patch(
+                    crop_patch(model, c, params), params, table
+                ), c.tobytes())
+                for c in pred_centroids
+            ]
+            metrics.update(iou_dice(fuse_patches(model, masks, params), model.labels))
 
     metrics["seconds"] = time.perf_counter() - t0
     return metrics

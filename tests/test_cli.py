@@ -151,16 +151,28 @@ class TestRun:
         for ma, mf in zip(a["per_model"], f["per_model"]):
             assert ma["l_offset"] == mf["l_offset"]
 
-    @pytest.mark.parametrize("flag", [["--sampling", "fps"], ["--centroids", "20"]],
-                             ids=["sampling", "centroids"])
-    def test_method_flag_exit_2(self, tmp_path, config_path, capsys, flag):
-        """`sampling_method` and `detection.max_centroids` are config keys
-        only; `run` has no flag that restates them."""
+    @pytest.mark.parametrize("argv, message", [
+        (["run", "--out", "{out}", "--sampling", "fps"], "unrecognized arguments: --sampling fps"),
+        (["run", "--out", "{out}", "--centroids", "20"], "unrecognized arguments: --centroids 20"),
+        (["bogus", "--out", "{out}"], "invalid choice: 'bogus'"),
+        (["run"], "the following arguments are required: --out"),
+    ], ids=["sampling", "centroids", "unknown-command", "missing-out"])
+    def test_method_flag_exit_2(self, tmp_path, config_path, capsys, argv, message):
+        """A command line argparse rejects exits 2 with one `error:` line and
+        writes nothing: `sampling_method` and `detection.max_centroids` are
+        config keys only, so `run` has no flag that restates them."""
+        out = tmp_path / "o"
+        argv = [a.format(out=out) for a in argv] + ["--config", str(config_path)]
+        assert main(argv) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0], err
+        assert not out.exists()
+
+    def test_help_exits_0(self, capsys):
         with pytest.raises(SystemExit) as exc:
-            main(["run", "--config", str(config_path), "--out", str(tmp_path / "o"), *flag])
-        assert exc.value.code == 2
-        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
-        assert not (tmp_path / "o").exists()
+            main(["run", "--help"])
+        assert exc.value.code == 0
+        assert capsys.readouterr().out.startswith("usage: archseg run")
 
     def test_bad_config_exit_2(self, tmp_path):
         assert main(["run", "--config", "/no/such.json", "--out", str(tmp_path)]) == 2

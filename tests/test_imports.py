@@ -7,6 +7,8 @@ k-d trees and search the patch graph, so importing the CLI, `generate`,
 loads both in the parent before it forks, so its workers inherit them.  Each
 check runs in a fresh interpreter, since this test process has loaded scipy
 long before; `test_no_module_level_scipy_import` checks the source cheaply.
+`test_no_module_level_thread` checks that no module starts a thread at
+import, which a forked pool worker would not inherit.
 """
 
 import ast
@@ -104,6 +106,58 @@ def test_segmenting_pool_preloads_scipy():
     have loaded these modules."""
     loaded = scipy_loaded_after(run_jobs_2(segment=True))
     assert {"scipy.sparse.csgraph", "scipy.spatial"} <= set(loaded)
+
+
+# The calls that start or can start an OS thread.
+THREAD_FACTORIES = {"ThreadPoolExecutor", "Thread"}
+
+
+def module_level_thread_calls(source: str) -> list[str]:
+    """The thread and thread-pool constructors a module's source calls when
+    the module is imported: anywhere but inside a function body (a default
+    argument or a decorator runs at import too)."""
+    found = []
+
+    def visit(node):
+        if (isinstance(node, ast.Call)
+                and ast.unparse(node.func).split(".")[-1] in THREAD_FACTORIES):
+            found.append(ast.unparse(node.func))
+        for name, value in ast.iter_fields(node):
+            if name == "body" and isinstance(
+                node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)
+            ):
+                continue
+            for child in value if isinstance(value, list) else [value]:
+                if isinstance(child, ast.AST):
+                    visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_no_module_level_thread():
+    """No package module creates a thread or a thread pool when it is
+    imported: `pipeline._reduce` forks pool workers, and a forked child has
+    only the thread that forked it, so a pool made at import would have
+    lost its worker thread there."""
+    found = {
+        (path.name, call)
+        for path in Path(archseg.__file__).parent.glob("*.py")
+        for call in module_level_thread_calls(path.read_text())
+    }
+    assert not found, f"create these inside the functions that use them: {sorted(found)}"
+    source = (
+        "import threading\nfrom concurrent.futures import ThreadPoolExecutor\n"
+        "POOL = ThreadPoolExecutor(max_workers=1)\n"
+        "class A:\n    t = threading.Thread(target=print)\n"
+        "def f(w=futures.ThreadPoolExecutor()):\n"
+        "    with ThreadPoolExecutor(1) as pool:\n"
+        "        threading.Thread(target=print).start()\n"
+        "g = lambda: ThreadPoolExecutor()\n"
+    )
+    assert module_level_thread_calls(source) == [
+        "ThreadPoolExecutor", "threading.Thread", "futures.ThreadPoolExecutor",
+    ]
 
 
 def module_level_scipy_imports(source: str) -> list[str]:

@@ -3,6 +3,7 @@ import dataclasses
 import json
 import multiprocessing
 import os
+import threading
 from pathlib import Path
 
 import numpy as np
@@ -24,7 +25,7 @@ from archseg.pipeline import (
     save_config,
     stage_keys,
 )
-from archseg.segmentation import PatchMask, SegParams
+from archseg.segmentation import PatchMask, SegParams, neighbour_table
 from archseg.synthetic import ScanConfig, VoteNoiseModel, generate_model, simulate_votes
 
 TINY = ExperimentConfig(
@@ -446,6 +447,117 @@ class TestStages:
         alone = run_models(variant, models)
         assert sorted(stages) == [0, 1]
         assert without_seconds(shared) == without_seconds(alone)
+
+
+TABLE_MODELS = dataclasses.replace(TINY, n_models=2)
+REAL_NEIGHBOUR_TABLE = pipeline.neighbour_table
+
+
+def first_model():
+    """TINY's model 0 and its vote seed."""
+    scan_seed, vote_seed = model_seeds(TINY, 0)
+    return generate_model(TINY.scan, scan_seed), vote_seed
+
+
+def fail_on_model_0(points):
+    """`neighbour_table`, except that it raises on TINY's model 0."""
+    if np.array_equal(points, first_model()[0].cloud.points):
+        raise RuntimeError("table build failed")
+    return REAL_NEIGHBOUR_TABLE(points)
+
+
+@pytest.fixture
+def thread_starts(monkeypatch):
+    """The threads started while the test runs, in start order."""
+    started = []
+    start = threading.Thread.start
+
+    def counting_start(thread):
+        started.append(thread)
+        start(thread)
+
+    monkeypatch.setattr(threading.Thread, "start", counting_start)
+    return started
+
+
+class TestTableThread:
+    """A segmenting `run_model` builds the neighbour table on a worker
+    thread while detection runs, and joins the thread before it returns."""
+
+    def test_stored_table_is_bitwise_neighbour_table(self):
+        model, vote_seed = first_model()
+        stages = {}
+        run_model(model, TINY, vote_seed, stages)
+        table = stages[stage_keys(TINY)["table"]]
+        expected = neighbour_table(model.cloud.points)
+        for name in ("indices", "reach"):
+            got, want = getattr(table, name), getattr(expected, name)
+            assert (got.dtype, got.shape) == (want.dtype, want.shape)
+            assert got.tobytes() == want.tobytes(), name
+
+    def test_table_built_off_the_calling_thread(self, monkeypatch, thread_starts):
+        builders = []
+
+        def recording_table(points):
+            builders.append(threading.current_thread())
+            return REAL_NEIGHBOUR_TABLE(points)
+
+        monkeypatch.setattr(pipeline, "neighbour_table", recording_table)
+        model, vote_seed = first_model()
+        before = threading.active_count()
+        run_model(model, TINY, vote_seed)
+        assert threading.active_count() == before
+        assert builders == thread_starts and len(builders) == 1
+        assert builders[0] is not threading.current_thread()
+
+    @pytest.mark.parametrize("jobs", [
+        1,
+        pytest.param(2, marks=pytest.mark.skipif(
+            multiprocessing.get_start_method() != "fork",
+            reason="the failing table is patched into forked workers",
+        )),
+    ])
+    def test_failed_table_fails_only_its_model(self, monkeypatch, tiny_report, jobs):
+        monkeypatch.setattr(pipeline, "neighbour_table", fail_on_model_0)
+        report = run_dataset(TABLE_MODELS, jobs=jobs)
+        assert [f["model"] for f in report.failures] == [0]
+        assert "table build failed" in report.failures[0]["error"]
+        assert without_seconds(report) == without_seconds(tiny_report)[1:2]
+
+    def test_detection_error_joins_the_thread(self, monkeypatch):
+        """A stage that raises while the table is being built still leaves
+        no thread behind."""
+        building = threading.Event()
+
+        def slow_table(points):
+            building.set()
+            return REAL_NEIGHBOUR_TABLE(points)
+
+        def failing_votes(*args):
+            assert building.wait(10)
+            raise RuntimeError("votes failed")
+
+        monkeypatch.setattr(pipeline, "neighbour_table", slow_table)
+        monkeypatch.setattr(pipeline, "simulate_votes", failing_votes)
+        model, vote_seed = first_model()
+        before = threading.active_count()
+        with pytest.raises(RuntimeError, match="votes failed"):
+            run_model(model, TINY, vote_seed)
+        assert threading.active_count() == before
+
+    def test_no_thread_without_a_table_to_build(self, thread_starts):
+        model, vote_seed = first_model()
+        run_model(model, dataclasses.replace(TINY, with_segmentation=False), vote_seed)
+        assert thread_starts == []
+        stages = {}
+        run_model(model, TINY, vote_seed, stages)
+        assert len(thread_starts) == 1
+        again = run_model(model, TINY, vote_seed, stages)
+        assert len(thread_starts) == 1
+        first = run_model(model, TINY, vote_seed)
+        assert {k: v for k, v in again.items() if k != "seconds"} == {
+            k: v for k, v in first.items() if k != "seconds"
+        }
 
 
 class TestMetricsReport:
