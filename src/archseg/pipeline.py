@@ -8,11 +8,12 @@ per-model metrics into a MetricsReport with exact-mean aggregates.
 
 run_model runs named stages in order: votes -> arch (pregroup -> bezier ->
 refine) -> select -> proposals, then NMS and metrics, then per retained
-centroid a segment stage that reads the model's neighbour table and keeps
-the patch's tooth mask.  Each stage reads its upstream outputs and only the
-config fields STAGE_FIELDS lists for it, so a caller that runs several
-configs over the same models can pass `stages` and have every config reuse
-the outputs whose config slice it shares (as the ablation commands do).
+centroid a segment stage that reads the model's neighbour table (built on
+a worker thread while detection runs) and keeps the patch's tooth mask.
+Each stage reads its upstream outputs and only the config fields
+STAGE_FIELDS lists for it, so a caller that runs several configs over the
+same models can pass `stages` and have every config reuse the outputs
+whose config slice it shares (as the ablation commands do).
 """
 
 from __future__ import annotations
