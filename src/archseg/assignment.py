@@ -9,15 +9,12 @@ metrics need no scipy, and a process that only detects never imports it.
 With more rows than columns the transpose is solved, so every column gets
 a row and the rows left over get none.
 
-Two steps cut the search's work.  When there are more columns than rows,
-only the columns among some row's R cheapest (ties included) are kept: a
-row placed outside its R cheapest can always move to one of them that no
-other row holds, for a lower cost, so every optimum lies inside.  The duals
-start at the row minima, and each row takes its cheapest column when no
-earlier row has taken it.  Every row still free then grows one
-Dijkstra search over the columns, in reduced costs, until it reaches a free
-column, and the path is flipped.  When several assignments reach the
-optimum, which one is returned is unspecified.
+A greedy start cuts the search's work: the duals start at the row minima,
+and each row takes its cheapest column when no earlier row has taken it.
+Every row still free then grows one Dijkstra search over the columns, in
+reduced costs, until it reaches a free column, and the path is flipped.
+When several assignments reach the optimum, which one is returned is
+unspecified.
 """
 
 from __future__ import annotations
@@ -46,18 +43,8 @@ def hungarian_assign(cost) -> tuple[np.ndarray, float]:
         assignment = np.full(n_rows, -1, dtype=np.intp)
         assignment[row_of] = np.arange(n_cols)
         return assignment, total
-    cols = _candidate_columns(c)
-    assignment = cols[_shortest_augmenting_paths(np.ascontiguousarray(c[:, cols]))]
+    assignment = _shortest_augmenting_paths(np.ascontiguousarray(c))
     return assignment, float(c[np.arange(n_rows), assignment].sum())
-
-
-def _candidate_columns(c: np.ndarray) -> np.ndarray:
-    """The columns among some row's R cheapest, ties included."""
-    n_rows, n_cols = c.shape
-    if n_rows == n_cols:
-        return np.arange(n_cols)
-    kth = np.partition(c, n_rows - 1, axis=1)[:, n_rows - 1, None]
-    return np.flatnonzero((c <= kth).any(axis=0))
 
 
 def _shortest_augmenting_paths(c: np.ndarray) -> np.ndarray:

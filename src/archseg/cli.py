@@ -8,7 +8,8 @@ Subcommands:
   eval             metrics on existing prediction artifacts
   report           re-render a metrics CSV as an aligned text table
 
-Exit codes: 0 success, 1 a per-model failure occurred, 2 invalid config/usage.
+Exit codes: 0 success, 1 a per-model failure occurred, 2 invalid config,
+usage or input file.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import dataclasses
 import json
 import math
 import sys
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -51,10 +53,16 @@ def _config_from_args(args) -> ExperimentConfig:
 
 def _runner(args, stages=None):
     """config -> MetricsReport, over --dataset's models if given, else over
-    models generated from the config; `stages` as in `run_dataset`."""
+    models generated from the config; `stages` as in `run_dataset`.  Bad
+    --jobs or --dataset input raises here, before any output is made."""
+    if args.jobs < 1:
+        raise ValueError(f"--jobs must be >= 1, got {args.jobs}")
     if not args.dataset:
         return lambda config: run_dataset(config, jobs=args.jobs, stages=stages)
-    models = aio.load_dataset(Path(args.dataset) / "manifest.json")
+    manifest = Path(args.dataset) / "manifest.json"
+    models = aio.load_dataset(manifest)
+    if not models:
+        raise ValueError(f"{manifest}: 'models' is empty")
     return lambda config: run_models(config, models, jobs=args.jobs, stages=stages)
 
 
@@ -101,11 +109,20 @@ def cmd_generate(args) -> int:
     return EXIT_OK
 
 
+def _print_failures(report, prefix="") -> None:
+    for f in report.failures:
+        print(f"{prefix}model {f['model']} FAILED:\n{f['error']}", file=sys.stderr)
+
+
 def cmd_run(args) -> int:
+    if args.dataset and args.n_models is not None:
+        raise ValueError("--n-models cannot be used with --dataset, "
+                         "whose manifest sets the model count")
     config = _config_from_args(args)
-    report = _runner(args)(config)
+    run = _runner(args)
     out = Path(args.out)
     out.mkdir(parents=True, exist_ok=True)
+    report = run(config)
     report.save(out / "report.json")
     for metrics in report.per_model:
         print(
@@ -114,8 +131,7 @@ def cmd_run(args) -> int:
         )
     print("aggregate:", json.dumps(report.aggregate, sort_keys=True))
     if report.failures:
-        for f in report.failures:
-            print(f"model {f['model']} FAILED:\n{f['error']}", file=sys.stderr)
+        _print_failures(report)
         return EXIT_MODEL_FAILURE
     return EXIT_OK
 
@@ -127,23 +143,27 @@ def _fmt(x, nd=2):
 def _ablate(args, name, headers, variants, extra_cells) -> int:
     """Run each (label, config) variant; its table row is the label, Acc.,
     Recall, then `extra_cells(aggregate)`.  Written to name.csv/.txt.
+    An aggregate lacks a metric no model of the variant gave (every model
+    failed, or no segmentation ran); its cell reads nan.
 
     The variants run on the same models and share one dict of stage outputs,
     so each stage prefix they have in common runs once per model."""
     run = _runner(args, stages={})
+    if args.out:
+        out = Path(args.out)
+        out.mkdir(parents=True, exist_ok=True)
     headers = [headers[0], "Acc.", "Recall", *headers[1:]]
     rows = []
     failed = False
     for label, variant in variants:
         report = run(variant)
+        _print_failures(report, f"{label}: ")
         failed = failed or bool(report.failures)
-        agg = report.aggregate
+        agg = defaultdict(lambda: math.nan, report.aggregate)
         rows.append([label, _fmt(agg["accuracy"]), _fmt(agg["recall"]), *extra_cells(agg)])
     table = render_table(headers, rows)
     print(table)
     if args.out:
-        out = Path(args.out)
-        out.mkdir(parents=True, exist_ok=True)
         write_csv(out / f"{name}.csv", headers, rows)
         (out / f"{name}.txt").write_text(table + "\n")
     return EXIT_MODEL_FAILURE if failed else EXIT_OK
@@ -159,14 +179,9 @@ def cmd_ablate_sampling(args) -> int:
                 config, sampling_method=method, detection=detection
             )
             variants.append((f"{method.upper()}-{k}", variant))
-    nan = float("nan")
     return _ablate(
         args, "ablate_sampling", ["Method", "C. Dist.", "IoU", "Dice"], variants,
-        lambda agg: [
-            _fmt(agg["chamfer"], 4),
-            _fmt(agg.get("mean_iou", nan)),
-            _fmt(agg.get("mean_dice", nan)),
-        ],
+        lambda agg: [_fmt(agg["chamfer"], 4), _fmt(agg["mean_iou"]), _fmt(agg["mean_dice"])],
     )
 
 
@@ -239,12 +254,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p, dataset=True):
+    def common(p):
         p.add_argument("--config", help="experiment config JSON")
         p.add_argument("--seed", type=int, help="override config seed")
         p.add_argument("--jobs", type=int, default=1, help="worker processes")
-        if dataset:
-            p.add_argument("--dataset", help="directory with manifest.json")
+        p.add_argument("--dataset", help="directory with manifest.json")
 
     p = sub.add_parser("generate", help="write a synthetic dataset")
     p.add_argument("--config", help="experiment config JSON")
@@ -263,7 +277,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="run the full pipeline")
     common(p)
     p.add_argument("--out", required=True)
-    p.add_argument("--n-models", type=int, help="override model count")
+    p.add_argument("--n-models", type=int, help="override model count (not with --dataset)")
     p.set_defaults(func=cmd_run)
 
     p = sub.add_parser("ablate-sampling", help="FPS/APS x centroid-count table")
@@ -303,7 +317,7 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         return args.func(args)
-    except (ValueError, KeyError, FileNotFoundError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_CONFIG
 

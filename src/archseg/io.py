@@ -135,17 +135,50 @@ def save_model(model: DentalModel, ply_path, json_path) -> None:
 def load_model(ply_path, json_path) -> DentalModel:
     """The model of a PLY + sidecar pair; sidecar keys other than
     `centroids` (older versions also wrote `config`, `arch` or
-    `bezier_control`) are ignored."""
+    `bezier_control`) are ignored.  A sidecar that is not an object whose
+    `centroids` are finite numbers making a ground-truth arch raises
+    ValueError naming it."""
     points, labels = read_ply(ply_path)
     if labels is None:
         raise ValueError(f"{ply_path}: missing instance labels")
-    with open(json_path) as fh:
-        sidecar = json.load(fh)
-    return DentalModel(
-        cloud=PointCloud(points),
-        labels=labels,
-        centroids=np.asarray(sidecar["centroids"], dtype=np.float64),
-    )
+    centroids = _centroids(json_path, _read_json(json_path))
+    try:
+        return DentalModel(cloud=PointCloud(points), labels=labels, centroids=centroids)
+    except ValueError as exc:  # centroids that make no ground-truth arch
+        raise ValueError(f"{json_path}: {exc}") from None
+
+
+def _read_json(path):
+    with open(path) as fh:
+        return json.load(fh)
+
+
+# JSON's names for the Python types `_field` checks.
+JSON_TYPES = {list: "an array", str: "a string"}
+
+
+def _field(where, payload, key: str, kind: type):
+    """payload[key] of a JSON document read from `where`; ValueError naming
+    `where` and `key` unless payload is an object holding `key` as `kind`."""
+    if not isinstance(payload, dict) or key not in payload:
+        raise ValueError(f"{where}: expected an object with key {key!r}")
+    value = payload[key]
+    if not isinstance(value, kind):
+        raise ValueError(f"{where}: {key!r} must be {JSON_TYPES[kind]}, "
+                         f"got {type(value).__name__}")
+    return value
+
+
+def _centroids(where, payload) -> np.ndarray:
+    """payload's `centroids` as a float64 array of finite numbers."""
+    value = _field(where, payload, "centroids", list)
+    try:
+        centroids = np.asarray(value, dtype=np.float64)
+    except (TypeError, ValueError):  # a non-number or a ragged array
+        centroids = np.array(np.nan)
+    if not np.isfinite(centroids).all():
+        raise ValueError(f"{where}: 'centroids' must be an array of finite numbers")
+    return centroids
 
 
 def write_manifest(path, entries: list[dict]) -> None:
@@ -154,8 +187,13 @@ def write_manifest(path, entries: list[dict]) -> None:
 
 
 def read_manifest(path) -> list[dict]:
-    with open(path) as fh:
-        return json.load(fh)["models"]
+    """The manifest's entries, each an object whose `ply` and `json` are
+    strings."""
+    entries = _field(path, _read_json(path), "models", list)
+    for i, entry in enumerate(entries):
+        for key in ("ply", "json"):
+            _field(f"{path} models[{i}]", entry, key, str)
+    return entries
 
 
 def load_dataset(manifest_path) -> list[DentalModel]:
@@ -169,8 +207,8 @@ def load_dataset(manifest_path) -> list[DentalModel]:
 
 
 def read_detection_json(path) -> dict:
-    """A detection file's JSON object, its `centroids` as a float64 array."""
-    with open(path) as fh:
-        payload = json.load(fh)
-    payload["centroids"] = np.asarray(payload["centroids"], dtype=np.float64)
+    """A detection file's JSON object, its `centroids` as a float64 array;
+    ValueError naming the file unless they are an array of finite numbers."""
+    payload = _read_json(path)
+    payload["centroids"] = _centroids(path, payload)
     return payload

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
-from archseg.assignment import _candidate_columns, brute_force_assign, hungarian_assign
+from archseg.assignment import brute_force_assign, hungarian_assign
 from archseg.detection import aps_cost_matrix
 from archseg.pipeline import stage_keys
 
@@ -166,16 +166,12 @@ class TestTies:
 
     @given(st.data())
     @settings(max_examples=100, deadline=None)
-    def test_many_columns_tied_at_the_reduction_threshold(self, data):
+    def test_many_columns_tied(self, data):
         """C >> R with values from {0, 1, 2}: a row's R-th cheapest column
-        is tied with others, and the column reduction keeps every one of
-        them."""
+        is tied with others."""
         n_rows = data.draw(st.integers(1, 3))
         n_cols = data.draw(st.integers(3 * n_rows, 12))
         cost = data.draw(hnp.arrays(np.float64, (n_rows, n_cols), elements=st.sampled_from([0.0, 1.0, 2.0])))
-        kth = np.sort(cost, axis=1)[:, n_rows - 1, None]
-        tied = np.flatnonzero((cost <= kth).any(axis=0))
-        assert np.array_equal(_candidate_columns(cost), tied)
         check_optimal(cost)
 
 

@@ -1,3 +1,4 @@
+import csv
 import json
 import shutil
 
@@ -18,6 +19,8 @@ TINY_CONFIG = {
     "vote_subsample": 512,
     "segmentation": {"patch_size": 512, "prob_decay": 2.0},
 }
+
+ABLATIONS = ["ablate-sampling", "ablate-arch"]
 
 
 @pytest.fixture(scope="module")
@@ -357,6 +360,84 @@ class TestRun:
         assert not out.exists()
 
 
+def one_error_line(capsys) -> str:
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("error:"), err
+    return err[0]
+
+
+@pytest.fixture
+def ran_models(monkeypatch):
+    """The models `run_model` is called on (serial runs only)."""
+    calls = []
+    run_model = pipeline.run_model
+
+    def recording(model, *args):
+        calls.append(model)
+        return run_model(model, *args)
+
+    monkeypatch.setattr(pipeline, "run_model", recording)
+    return calls
+
+
+class TestBadInput:
+    @pytest.mark.parametrize("name, document, message", [
+        ("manifest.json", [], "expected an object with key 'models'"),
+        ("manifest.json", {"models": 5}, "'models' must be an array, got int"),
+        ("manifest.json", {"models": []}, "'models' is empty"),
+        ("manifest.json", {"models": [{"ply": 5, "json": "model_0000.json"}]},
+         "models[0]: 'ply' must be a string, got int"),
+        ("model_0000.json", [1], "expected an object with key 'centroids'"),
+    ], ids=["manifest-list", "models-int", "models-empty", "ply-int", "sidecar-list"])
+    def test_bad_dataset_file_exit_2(self, tmp_path, config_path, dataset_dir, capsys,
+                                     name, document, message):
+        data = tmp_path / "ds"
+        shutil.copytree(dataset_dir, data)
+        (data / name).write_text(json.dumps(document))
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config_path), "--dataset", str(data),
+                     "--out", str(out)]) == 2
+        err = one_error_line(capsys)
+        assert str(data / name) in err and message in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("document, message", [
+        ([1, 2], "expected an object with key 'centroids'"),
+        ({"centroids": {"a": 1}}, "'centroids' must be an array, got dict"),
+        ({"centroids": [[0.0, 0.0, "x"]]}, "'centroids' must be an array of finite numbers"),
+    ], ids=["list", "centroids-object", "centroids-string"])
+    def test_bad_detection_json_exit_2(self, tmp_path, dataset_dir, capsys, document, message):
+        pred = tmp_path / "det.json"
+        pred.write_text(json.dumps(document))
+        assert main([
+            "eval", "--pred", str(pred),
+            "--gt-ply", str(dataset_dir / "model_0000.ply"),
+            "--gt-json", str(dataset_dir / "model_0000.json"),
+        ]) == 2
+        err = one_error_line(capsys)
+        assert str(pred) in err and message in err
+
+    @pytest.mark.parametrize("command", ["run", *ABLATIONS])
+    def test_out_is_a_file_exit_2_before_any_model(
+        self, tmp_path, config_path, capsys, ran_models, command
+    ):
+        out = tmp_path / "o"
+        out.write_text("")
+        assert main([command, "--config", str(config_path), "--out", str(out)]) == 2
+        assert str(out) in one_error_line(capsys)
+        assert ran_models == []
+
+    def test_n_models_with_dataset_exit_2(self, tmp_path, config_path, dataset_dir, capsys,
+                                          ran_models):
+        """The manifest sets the model count, so --n-models is not silently
+        ignored."""
+        out = tmp_path / "o"
+        assert main(["run", "--config", str(config_path), "--dataset", str(dataset_dir),
+                     "--n-models", "1", "--out", str(out)]) == 2
+        assert "--n-models cannot be used with --dataset" in one_error_line(capsys)
+        assert ran_models == [] and not out.exists()
+
+
 class TestAblations:
     def test_sampling_table(self, tmp_path, config_path, dataset_dir, capsys):
         out = tmp_path / "abl"
@@ -388,6 +469,23 @@ class TestAblations:
         assert header == ["Mode", "Acc.", "Recall", "MSE(1e-4)"]
 
 
+    def test_every_model_failing_exits_1(self, tmp_path, capsys):
+        """Every model fails (as in `test_min_size_frac_1_fails_per_model`):
+        each failure is printed, the table's cells read nan and the exit
+        is 1, a model failure, not a usage error."""
+        config = tmp_path / "frac.json"
+        config.write_text(json.dumps(dict(TINY_CONFIG, n_models=1, pregroup_min_size_frac=1.0)))
+        out = tmp_path / "abl"
+        assert main(["ablate-arch", "--config", str(config), "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert "need at least 2 centroids" in captured.err
+        assert "error:" not in captured.err
+        with open(out / "ablate_arch.csv") as fh:
+            rows = list(csv.reader(fh))[1:]
+        assert [row[0] for row in rows] == ["Direct", "Coarse", "Coarse + Fine"]
+        assert all(cell == "nan" for row in rows for cell in row[1:])
+
+
 def without_seconds(report):
     return [{k: v for k, v in m.items() if k != "seconds"} for m in report.per_model]
 
@@ -416,9 +514,6 @@ def weak_dataset_dir(tmp_path_factory, config_path):
     ])
     assert rc == 0
     return out
-
-
-ABLATIONS = ["ablate-sampling", "ablate-arch"]
 
 
 class TestSharedStages:

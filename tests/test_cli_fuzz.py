@@ -1,17 +1,20 @@
-"""Fuzz of the config file and argv of `run`, `ablate-arch` and `generate`:
-`main` returns 0, 1 or 2 and never raises, and exit 2 (invalid config or
-usage) prints exactly one `error:` line and no traceback.  Every config
-`from_dict` accepts survives the config codec unchanged, and a non-finite
-float field exits 2."""
+"""Fuzz of the config file and argv of `run`, `ablate-arch` and `generate`,
+and of the manifest and sidecar of a `--dataset`: `main` returns 0, 1 or 2
+and never raises, and exit 2 (invalid config, usage or input file) prints
+exactly one `error:` line and no traceback.  Every config `from_dict`
+accepts survives the config codec unchanged, and a non-finite float field
+exits 2."""
 
 import contextlib
 import io
 import json
+import shutil
 import tempfile
 import warnings
 from dataclasses import MISSING, fields
 from pathlib import Path
 
+import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from archseg.cli import EXIT_BAD_CONFIG, EXIT_MODEL_FAILURE, EXIT_OK, main
@@ -128,18 +131,65 @@ def arguments(draw):
     return argv
 
 
-def run_main(config, argv) -> tuple[int, str]:
-    """main(argv) on `config` written to a config file: (exit code, stderr)."""
+def run_main(config, argv, dataset=None, files=None) -> tuple[int, str]:
+    """main(argv) on `config` written to a config file: (exit code, stderr).
+    With a `dataset` directory, argv also names a copy of it in which each
+    file name of `files` holds its JSON document."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "config.json"
         path.write_text(json.dumps(config))
         argv = [*argv, "--config", str(path), "--out", str(Path(tmp) / "out")]
+        if dataset is not None:
+            data = Path(tmp) / "data"
+            shutil.copytree(dataset, data)
+            for name, document in (files or {}).items():
+                (data / name).write_text(json.dumps(document))
+            argv += ["--dataset", str(data)]
         out, err = io.StringIO(), io.StringIO()
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
                 warnings.catch_warnings():
             warnings.simplefilter("ignore")
             code = main(argv)
     return code, err.getvalue()
+
+
+@pytest.fixture(scope="module")
+def one_model_dataset(tmp_path_factory) -> Path:
+    """A dataset of one BASE_CONFIG model."""
+    tmp = tmp_path_factory.mktemp("fuzz")
+    config = tmp / "config.json"
+    config.write_text(json.dumps(BASE_CONFIG))
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["generate", "--config", str(config), "--out", str(tmp / "data")]) == 0
+    return tmp / "data"
+
+
+ENTRY = {"index": 0, "ply": "model_0000.ply", "json": "model_0000.json", "split": "full"}
+CENTROIDS = st.lists(st.lists(st.floats(-1, 1), min_size=3, max_size=3), max_size=4)
+
+
+@st.composite
+def dataset_files(draw):
+    """{file name: JSON document} for none, one or both of the dataset's
+    manifest and sidecar: a drawn JSON value, or the file's own shape with
+    one field drawn (for the sidecar, often a list of 0-4 points)."""
+    files = {}
+    manifest = draw(st.sampled_from(["keep", "keep", "value", "models", "entry"]))
+    if manifest == "value":
+        files["manifest.json"] = draw(VALUES)
+    elif manifest == "models":
+        files["manifest.json"] = {"models": draw(VALUES)}
+    elif manifest == "entry":
+        entry = dict(ENTRY)
+        entry[draw(st.sampled_from(sorted(ENTRY)))] = draw(VALUES)
+        files["manifest.json"] = {"models": [entry]}
+    sidecar = draw(st.sampled_from(["keep", "keep", "value", "centroids", "points"]))
+    if sidecar == "value":
+        files["model_0000.json"] = draw(VALUES)
+    elif sidecar != "keep":
+        files["model_0000.json"] = {
+            "centroids": draw(VALUES if sidecar == "centroids" else CENTROIDS)}
+    return files
 
 
 def assert_one_error_line(err: str) -> None:
@@ -154,6 +204,21 @@ def test_main_exits_cleanly(config, argv):
     assert code in (EXIT_OK, EXIT_MODEL_FAILURE, EXIT_BAD_CONFIG)
     if code == EXIT_BAD_CONFIG:
         assert_one_error_line(err)
+
+
+@settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(dataset_files(), st.sampled_from(["run", "ablate-arch"]),
+       st.sampled_from([False, False, False, True]))
+def test_dataset_files_exit_cleanly(one_model_dataset, files, command, n_models):
+    """Exit 2 with one `error:` line for a manifest or sidecar of the wrong
+    shape (or `run --n-models` beside `--dataset`), 0 or 1 otherwise."""
+    argv = [command, "--n-models=1"] if command == "run" and n_models else [command]
+    code, err = run_main(BASE_CONFIG, argv, one_model_dataset, files)
+    assert code in (EXIT_OK, EXIT_MODEL_FAILURE, EXIT_BAD_CONFIG)
+    if code == EXIT_BAD_CONFIG:
+        assert_one_error_line(err)
+    if not files and len(argv) == 1:
+        assert code == EXIT_OK
 
 
 @settings(max_examples=100, deadline=None)
