@@ -8,8 +8,9 @@ seed SEED for SECONDS seconds, once untraced (the six end-to-end metrics)
 and once with `--trace 1` (the per-layer metrics), then the tier-1 test
 suite, and writes BENCH_<PR>.json into that tree: the environment block
 perfbench prints (it holds the `src/archseg` line count, and this script
-adds `settable_config_keys` beside it: the number of leaf keys of the
-tree's `ExperimentConfig().to_dict()`), both metric sets
+adds `settable_config_keys` beside it, the number of leaf keys of the
+tree's `ExperimentConfig().to_dict()`, and `cli_options`, the number of
+options over all subcommands of its `cli.build_parser()`), both metric sets
 per workload, tier-1 wall time and summary, and `git_dirty`, which is true
 when `git status --porcelain` lists any change (perfbench's `git_commit`
 names HEAD even for a modified tree).  Every point is taken at the same
@@ -37,6 +38,13 @@ def leaves(d):
     return sum(leaves(v) if isinstance(v, dict) else 1 for v in d.values())
 print(leaves(ExperimentConfig().to_dict()))
 """
+COUNT_CLI_OPTIONS = """
+import argparse
+from archseg.cli import build_parser
+sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+print(sum(bool(a.option_strings) and not isinstance(a, argparse._HelpAction)
+          for p in sub.choices.values() for a in p._actions))
+"""
 
 
 def perfbench(tree: Path, workload: str, trace: int) -> dict:
@@ -53,9 +61,9 @@ def perfbench(tree: Path, workload: str, trace: int) -> dict:
     return result
 
 
-def settable_config_keys(tree: Path) -> int:
-    """Leaf keys of the tree's default config: the values a config file can set."""
-    proc = subprocess.run([sys.executable, "-c", COUNT_CONFIG_KEYS], cwd=tree,
+def count(tree: Path, script: str) -> int:
+    """The integer `script` prints when run against the tree's `src`."""
+    proc = subprocess.run([sys.executable, "-c", script], cwd=tree,
                           env=dict(os.environ, PYTHONPATH="src"), capture_output=True,
                           text=True, check=True)
     return int(proc.stdout)
@@ -94,7 +102,8 @@ def main(argv=None) -> int:
         }
         wall = untraced["metrics"]["wall_s_per_scan"]["value"]
         print(f"{workload}: wall_s_per_scan {wall:.4g}", flush=True)
-    out["environment"]["settable_config_keys"] = settable_config_keys(tree)
+    out["environment"]["settable_config_keys"] = count(tree, COUNT_CONFIG_KEYS)
+    out["environment"]["cli_options"] = count(tree, COUNT_CLI_OPTIONS)
     out["tier1"] = tier1(tree)
     path = tree / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(out, indent=1, sort_keys=True) + "\n")

@@ -3,10 +3,9 @@
 Subcommands:
   generate         write a synthetic dataset (PLY + JSON sidecars + manifest)
   run              full pipeline over a dataset (or freshly generated models)
-  ablate-sampling  FPS/APS x max-centroids table (Acc./Recall/C. Dist./IoU/Dice)
+  ablate-sampling  FPS/APS x 20/30 max-centroids table (Acc./Recall/C. Dist./IoU/Dice)
   ablate-arch      direct_fit/coarse/coarse_fine table (Acc./Recall/MSE(1e-4))
   eval             metrics on existing prediction artifacts
-  report           re-render a metrics CSV as an aligned text table
 
 Exit codes: 0 success, 1 a per-model failure occurred, 2 invalid config,
 usage or input file.
@@ -26,7 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from . import io as aio
-from .detection import DetectionParams, detection_metrics
+from .detection import detection_metrics
 from .pipeline import (
     ExperimentConfig,
     load_config,
@@ -40,6 +39,9 @@ from .synthetic import generate_model
 EXIT_OK = 0
 EXIT_MODEL_FAILURE = 1
 EXIT_BAD_CONFIG = 2
+
+# detection.max_centroids values of each sampling method's rows in ablate-sampling
+ABLATION_CENTROIDS = (20, 30)
 
 
 def _config_from_args(args) -> ExperimentConfig:
@@ -173,7 +175,7 @@ def cmd_ablate_sampling(args) -> int:
     config = _config_from_args(args)
     variants = []
     for method in ("fps", "aps"):
-        for k in args.centroid_grid:
+        for k in ABLATION_CENTROIDS:
             detection = dataclasses.replace(config.detection, max_centroids=k)
             variant = dataclasses.replace(
                 config, sampling_method=method, detection=detection
@@ -202,10 +204,10 @@ def cmd_eval(args) -> int:
     """Metrics on existing predictions against a ground-truth model pair.
 
     --pred is either a labeled PLY (segmentation -> IoU/Dice) or a detection
-    JSON with predicted centroids (-> accuracy/recall/chamfer).
+    JSON with predicted centroids (-> accuracy/recall/chamfer, matched
+    within --config's `detection.match_threshold`).
     """
-    if not 0.0 < args.match_threshold < math.inf:
-        raise ValueError(f"--match-threshold must be finite and > 0, got {args.match_threshold}")
+    threshold = _config_from_args(args).detection.match_threshold
     model = aio.load_model(args.gt_ply, args.gt_json)
     pred_path = Path(args.pred)
     if pred_path.suffix == ".ply":
@@ -217,25 +219,12 @@ def cmd_eval(args) -> int:
     else:
         detection = aio.read_detection_json(pred_path)
         result = detection_metrics(
-            detection["centroids"], model.centroids, args.match_threshold
+            detection["centroids"], model.centroids, threshold
         )
     print(json.dumps(result, indent=1, sort_keys=True))
     if args.out:
         with open(args.out, "w") as fh:
             json.dump(result, fh, indent=1, sort_keys=True)
-    return EXIT_OK
-
-
-def cmd_report(args) -> int:
-    with open(args.csv, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows:
-        print(f"{args.csv}: empty CSV", file=sys.stderr)
-        return EXIT_BAD_CONFIG
-    table = render_table(rows[0], rows[1:])
-    print(table)
-    if args.out:
-        Path(args.out).write_text(table + "\n")
     return EXIT_OK
 
 
@@ -254,15 +243,19 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def command(name, func, help, runs=True):
+        """A subcommand taking --config and --seed and, when it `runs` the
+        pipeline, --jobs and --dataset."""
+        p = sub.add_parser(name, help=help)
         p.add_argument("--config", help="experiment config JSON")
         p.add_argument("--seed", type=int, help="override config seed")
-        p.add_argument("--jobs", type=int, default=1, help="worker processes")
-        p.add_argument("--dataset", help="directory with manifest.json")
+        if runs:
+            p.add_argument("--jobs", type=int, default=1, help="worker processes")
+            p.add_argument("--dataset", help="directory with manifest.json")
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("generate", help="write a synthetic dataset")
-    p.add_argument("--config", help="experiment config JSON")
-    p.add_argument("--seed", type=int, help="override config seed")
+    p = command("generate", cmd_generate, "write a synthetic dataset", runs=False)
     p.add_argument("--out", required=True, help="output directory")
     p.add_argument("--n-models", type=int, help="override model count")
     p.add_argument(
@@ -272,43 +265,24 @@ def build_parser() -> argparse.ArgumentParser:
         help="fraction of teeth recorded in the manifest as having labelled "
         "masks (0 = full); no stage reads it yet",
     )
-    p.set_defaults(func=cmd_generate)
 
-    p = sub.add_parser("run", help="run the full pipeline")
-    common(p)
+    p = command("run", cmd_run, "run the full pipeline")
     p.add_argument("--out", required=True)
     p.add_argument("--n-models", type=int, help="override model count (not with --dataset)")
-    p.set_defaults(func=cmd_run)
 
-    p = sub.add_parser("ablate-sampling", help="FPS/APS x centroid-count table")
-    common(p)
+    p = command("ablate-sampling", cmd_ablate_sampling, "FPS/APS x centroid-count table")
     p.add_argument("--out")
-    p.add_argument(
-        "--centroid-grid",
-        type=int,
-        nargs="+",
-        default=[20, 30],
-        help="max-centroid values per sampling method",
-    )
-    p.set_defaults(func=cmd_ablate_sampling)
-
-    p = sub.add_parser("ablate-arch", help="arch-mode comparison table")
-    common(p)
+    p = command("ablate-arch", cmd_ablate_arch, "arch-mode comparison table")
     p.add_argument("--out")
-    p.set_defaults(func=cmd_ablate_arch)
 
     p = sub.add_parser("eval", help="metrics on existing predictions")
     p.add_argument("--pred", required=True, help="labeled PLY or detection JSON")
     p.add_argument("--gt-ply", required=True)
     p.add_argument("--gt-json", required=True)
-    p.add_argument("--match-threshold", type=float, default=DetectionParams().match_threshold)
+    p.add_argument("--config", help="experiment config JSON; eval reads its "
+                   "detection.match_threshold")
     p.add_argument("--out")
     p.set_defaults(func=cmd_eval)
-
-    p = sub.add_parser("report", help="re-render a metrics CSV as a text table")
-    p.add_argument("--csv", required=True)
-    p.add_argument("--out")
-    p.set_defaults(func=cmd_report)
 
     return parser
 

@@ -136,12 +136,16 @@ def load_model(ply_path, json_path) -> DentalModel:
     """The model of a PLY + sidecar pair; sidecar keys other than
     `centroids` (older versions also wrote `config`, `arch` or
     `bezier_control`) are ignored.  A sidecar that is not an object whose
-    `centroids` are finite numbers making a ground-truth arch raises
-    ValueError naming it."""
+    `centroids` are an (N, 3) array of finite numbers making a ground-truth
+    arch, with one centroid for each PLY instance label, raises ValueError
+    naming it."""
     points, labels = read_ply(ply_path)
     if labels is None:
         raise ValueError(f"{ply_path}: missing instance labels")
     centroids = _centroids(json_path, _read_json(json_path))
+    if len(labels) and labels.max() > len(centroids):
+        raise ValueError(f"{json_path}: {len(centroids)} centroids, but {ply_path} "
+                         f"has instance label {labels.max()}")
     try:
         return DentalModel(cloud=PointCloud(points), labels=labels, centroids=centroids)
     except ValueError as exc:  # centroids that make no ground-truth arch
@@ -170,7 +174,7 @@ def _field(where, payload, key: str, kind: type):
 
 
 def _centroids(where, payload) -> np.ndarray:
-    """payload's `centroids` as a float64 array of finite numbers."""
+    """payload's `centroids` as an (N, 3) float64 array of finite numbers."""
     value = _field(where, payload, "centroids", list)
     try:
         centroids = np.asarray(value, dtype=np.float64)
@@ -178,6 +182,9 @@ def _centroids(where, payload) -> np.ndarray:
         centroids = np.array(np.nan)
     if not np.isfinite(centroids).all():
         raise ValueError(f"{where}: 'centroids' must be an array of finite numbers")
+    if centroids.ndim != 2 or centroids.shape[1] != 3:
+        raise ValueError(f"{where}: 'centroids' must be an (N, 3) array, "
+                         f"got shape {centroids.shape}")
     return centroids
 
 
@@ -208,7 +215,8 @@ def load_dataset(manifest_path) -> list[DentalModel]:
 
 def read_detection_json(path) -> dict:
     """A detection file's JSON object, its `centroids` as a float64 array;
-    ValueError naming the file unless they are an array of finite numbers."""
+    ValueError naming the file unless they are an (N, 3) array of finite
+    numbers."""
     payload = _read_json(path)
     payload["centroids"] = _centroids(path, payload)
     return payload

@@ -20,8 +20,8 @@ The module imports no scipy at load time.  `neighbour_table` and
 `segment_patch` are the only k-d tree builders, and `segment_patch` the only
 graph search; they import `scipy.spatial` and `scipy.sparse.csgraph` when
 first called, so a process that never segments (a detection-only run,
-`generate`, `eval`, `report`) loads no scipy at all.  Instance matching in
-`iou_dice` uses `assignment.hungarian_assign`, which is numpy-only.
+`generate`, `eval`) loads no scipy at all.  Instance matching in `iou_dice`
+uses `assignment.hungarian_assign`, which is numpy-only.
 """
 
 from __future__ import annotations

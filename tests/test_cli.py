@@ -1,3 +1,4 @@
+import argparse
 import csv
 import json
 import shutil
@@ -388,7 +389,10 @@ class TestBadInput:
         ("manifest.json", {"models": [{"ply": 5, "json": "model_0000.json"}]},
          "models[0]: 'ply' must be a string, got int"),
         ("model_0000.json", [1], "expected an object with key 'centroids'"),
-    ], ids=["manifest-list", "models-int", "models-empty", "ply-int", "sidecar-list"])
+        ("model_0000.json", {"centroids": [[0.0, 0.0, 0.0], [1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]},
+         "3 centroids, but"),
+    ], ids=["manifest-list", "models-int", "models-empty", "ply-int", "sidecar-list",
+            "sidecar-short"])
     def test_bad_dataset_file_exit_2(self, tmp_path, config_path, dataset_dir, capsys,
                                      name, document, message):
         data = tmp_path / "ds"
@@ -405,7 +409,12 @@ class TestBadInput:
         ([1, 2], "expected an object with key 'centroids'"),
         ({"centroids": {"a": 1}}, "'centroids' must be an array, got dict"),
         ({"centroids": [[0.0, 0.0, "x"]]}, "'centroids' must be an array of finite numbers"),
-    ], ids=["list", "centroids-object", "centroids-string"])
+        ({"centroids": [[0.1, 0.2], [0.3, 0.4], [0.5, 0.6]]},
+         "'centroids' must be an (N, 3) array, got shape (3, 2)"),
+        ({"centroids": [0.1, 0.2, 0.3, 0.4, 0.5, 0.6]},
+         "'centroids' must be an (N, 3) array, got shape (6,)"),
+    ], ids=["list", "centroids-object", "centroids-string", "centroids-n-by-2",
+            "centroids-flat"])
     def test_bad_detection_json_exit_2(self, tmp_path, dataset_dir, capsys, document, message):
         pred = tmp_path / "det.json"
         pred.write_text(json.dumps(document))
@@ -697,42 +706,71 @@ class TestEvalAndReport:
         err = capsys.readouterr().err.strip().splitlines()
         assert len(err) == 1 and err[0].startswith("error:") and str(pred) in err[0]
 
-    @pytest.mark.parametrize("threshold", ["nan", "-1", "0", "inf"])
-    def test_match_threshold_out_of_range_exit_2(
-        self, tmp_path, dataset_dir, capsys, threshold
-    ):
+    @staticmethod
+    def eval_shifted(tmp_path, dataset_dir, *config) -> int:
+        """eval's exit code on model 0's centroids shifted 0.1 along x, which
+        match within the default threshold 0.3 and miss within 0.05."""
         model = aio.load_model(
             dataset_dir / "model_0000.ply", dataset_dir / "model_0000.json"
         )
         pred = tmp_path / "det.json"
-        pred.write_text(json.dumps({
-            "centroids": model.centroids.tolist(),
-            "confidences": np.ones(len(model.centroids)).tolist(),
-            "sampling": "aps",
-            "params": {},
-        }))
-        rc = main([
-            "eval", "--pred", str(pred), "--match-threshold", threshold,
+        pred.write_text(json.dumps({"centroids": (model.centroids + [0.1, 0, 0]).tolist()}))
+        return main([
+            "eval", "--pred", str(pred), *config,
             "--gt-ply", str(dataset_dir / "model_0000.ply"),
             "--gt-json", str(dataset_dir / "model_0000.json"),
         ])
-        assert rc == 2
+
+    @pytest.mark.parametrize("threshold, message", [
+        ("NaN", "'match_threshold' must be finite, got nan"),
+        ("-1", "match_threshold must be positive, got -1"),
+        ("0", "match_threshold must be positive, got 0"),
+        ("Infinity", "'match_threshold' must be finite, got inf"),
+    ], ids=["nan", "-1", "0", "inf"])
+    def test_match_threshold_out_of_range_exit_2(
+        self, tmp_path, dataset_dir, capsys, threshold, message
+    ):
+        """The config codec rejects a non-finite threshold, and
+        `DetectionParams` one at or below 0."""
+        config = tmp_path / "config.json"
+        config.write_text(f'{{"detection": {{"match_threshold": {threshold}}}}}')
+        assert self.eval_shifted(tmp_path, dataset_dir, "--config", str(config)) == 2
         captured = capsys.readouterr()
         err = captured.err.strip().splitlines()
-        assert len(err) == 1 and err[0].startswith("error:") and "--match-threshold" in err[0]
+        assert len(err) == 1 and err[0].startswith("error:") and message in err[0]
         assert captured.out == ""
 
-    def test_report_renders_csv(self, tmp_path, capsys):
-        csv_path = tmp_path / "t.csv"
-        csv_path.write_text("A,B\n1,2\n")
-        assert main(["report", "--csv", str(csv_path)]) == 0
-        out = capsys.readouterr().out
-        assert "A" in out and "1" in out
+    def test_config_match_threshold_scores(self, tmp_path, dataset_dir, capsys):
+        """eval scores with --config's `detection.match_threshold`, and with
+        the default 0.3 without a config."""
+        config = tmp_path / "config.json"
+        config.write_text(json.dumps({"detection": {"match_threshold": 0.05}}))
+        assert self.eval_shifted(tmp_path, dataset_dir) == 0
+        assert json.loads(capsys.readouterr().out)["accuracy"] == 100.0
+        assert self.eval_shifted(tmp_path, dataset_dir, "--config", str(config)) == 0
+        assert json.loads(capsys.readouterr().out)["accuracy"] == 0.0
 
-    def test_report_empty_csv_exit_2(self, tmp_path):
-        csv_path = tmp_path / "e.csv"
-        csv_path.write_text("")
-        assert main(["report", "--csv", str(csv_path)]) == 2
+
+class TestOptions:
+    def test_option_sets(self):
+        """Flags choose only scans, paths and workers; every method setting,
+        eval's match threshold too, is a config key."""
+        parser = cli.build_parser()
+        sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        options = {
+            name: {a.option_strings[-1] for a in p._actions
+                   if a.option_strings and not isinstance(a, argparse._HelpAction)}
+            for name, p in sub.choices.items()
+        }
+        run = {"--config", "--seed", "--jobs", "--dataset", "--out"}
+        assert options == {
+            "generate": {"--config", "--seed", "--out", "--n-models", "--weak-ratio"},
+            "run": run | {"--n-models"},
+            "ablate-sampling": run,
+            "ablate-arch": run,
+            "eval": {"--config", "--pred", "--gt-ply", "--gt-json", "--out"},
+        }
+        assert sum(map(len, options.values())) == 26
 
 
 class TestRenderTable:

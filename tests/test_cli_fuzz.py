@@ -211,12 +211,17 @@ def test_main_exits_cleanly(config, argv):
        st.sampled_from([False, False, False, True]))
 def test_dataset_files_exit_cleanly(one_model_dataset, files, command, n_models):
     """Exit 2 with one `error:` line for a manifest or sidecar of the wrong
-    shape (or `run --n-models` beside `--dataset`), 0 or 1 otherwise."""
+    shape (or `run --n-models` beside `--dataset`), 0 or 1 otherwise.  Every
+    drawn sidecar is wrong: it is not an object with `centroids`, they are
+    not an (N, 3) array of finite numbers, or they are fewer than the PLY's
+    8 teeth (a drawn point list holds at most 4)."""
     argv = [command, "--n-models=1"] if command == "run" and n_models else [command]
     code, err = run_main(BASE_CONFIG, argv, one_model_dataset, files)
     assert code in (EXIT_OK, EXIT_MODEL_FAILURE, EXIT_BAD_CONFIG)
     if code == EXIT_BAD_CONFIG:
         assert_one_error_line(err)
+    if "model_0000.json" in files:
+        assert code == EXIT_BAD_CONFIG
     if not files and len(argv) == 1:
         assert code == EXIT_OK
 

@@ -232,6 +232,16 @@ class TestModelRoundTrip:
         with pytest.raises(ValueError):
             aio.load_model(tmp_path / "nolab.ply", tmp_path / "m.json")
 
+    def test_label_without_centroid_rejected(self, tmp_path, model):
+        """A sidecar needs a centroid for every instance label of its PLY:
+        voting looks a seed's centroid up by its label."""
+        aio.save_model(model, tmp_path / "m.ply", tmp_path / "m.json")
+        short = {"centroids": model.centroids[:-1].tolist()}
+        (tmp_path / "m.json").write_text(json.dumps(short))
+        n = model.n_teeth
+        with pytest.raises(ValueError, match=rf"m\.json: {n - 1} centroids, .* label {n}$"):
+            aio.load_model(tmp_path / "m.ply", tmp_path / "m.json")
+
 
 class TestManifest:
     def test_round_trip(self, tmp_path):
